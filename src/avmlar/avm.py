@@ -11,6 +11,10 @@ Three ways to combine per-block local estimates at a query point:
 
 For the k-NN family the localization radius adapts per block, so every
 block is always active and all three variants coincide with A1.
+
+Every prediction path runs through the core below: ``nwk_mean`` and
+``knn_mean`` (home of the k-NN tie rule), ``block_estimates``, ``combine``,
+and ``_rule_h_or_k`` for h and k.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ class AvmModel:
     """A partition, an estimator configuration, and localization parameters.
 
     ``h_or_k`` is the bandwidth (NWK) or neighbor count (k-NN); ``tilde_h``
-    is the data-dependent bandwidth and is set only for the A2 variant.
+    is the data-dependent bandwidth, set only for NWK A2 models, which
+    localize with it instead of ``h_or_k``.
     """
 
     partition: PartitionedDataset
@@ -112,11 +117,12 @@ class AvmModel:
                 )
         elif self.h_or_k <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.h_or_k}")
-        if self.variant is Variant.A2_DATA_DEPENDENT:
-            if self.config.family is not EstimatorFamily.KNN and self.tilde_h is None:
-                raise ValueError("A2 models require tilde_h")
-        elif self.tilde_h is not None:
-            raise ValueError("tilde_h is only meaningful for the A2 variant")
+        nwk_a2 = (
+            self.variant is Variant.A2_DATA_DEPENDENT
+            and self.config.family is not EstimatorFamily.KNN
+        )
+        if nwk_a2 != (self.tilde_h is not None):
+            raise ValueError("tilde_h is required for, and only for, NWK A2 models")
 
     @property
     def m(self) -> int:
@@ -141,6 +147,14 @@ class BatchPrediction:
     degenerate_blocks: np.ndarray
 
 
+def _rule_h_or_k(config: EstimatorConfig, n: int, m: int, min_block: int) -> float:
+    """Rule h (NWK) or k (k-NN) at size ``n``, ``m`` blocks; k in [1, min_block]."""
+    if config.family is EstimatorFamily.KNN:
+        k = knn_k_rule(n, m, config.r, config.d, config.constant_c).k
+        return float(min(k, min_block))
+    return nwk_bandwidth_rule(n, config.r, config.d, config.constant_c)
+
+
 def fit_avm(
     dataset: Dataset,
     config: EstimatorConfig,
@@ -155,108 +169,123 @@ def fit_avm(
     """Partition the data and resolve localization parameters.
 
     When ``h``/``k`` are omitted they come from the parameter rules at the
-    full sample size ``N`` with the configured constant. For A2 the
-    covering radii are computed over ``candidates`` (default:
-    ``default_candidates(dataset)``) to set the common bandwidth.
+    full sample size ``N``, a rule ``k`` being clamped to the smallest
+    block; an explicit ``k`` above it raises. For A2 the covering radii are
+    computed over ``candidates`` (default: ``default_candidates(dataset)``)
+    to set the common bandwidth.
     """
     part = random_partition(dataset, m, seed)
-    if config.family is EstimatorFamily.KNN:
-        k_val = k if k is not None else knn_k_rule(
-            dataset.n, m, config.r, config.d, config.constant_c
-        ).k
-        return AvmModel(part, config, variant, float(k_val))
-    h_val = h if h is not None else nwk_bandwidth_rule(
-        dataset.n, config.r, config.d, config.constant_c
-    )
+    knn = config.family is EstimatorFamily.KNN
+    h_or_k = k if knn else h
+    if h_or_k is None:
+        h_or_k = _rule_h_or_k(config, dataset.n, m, part.min_block_size)
     tilde_h = None
-    if variant is Variant.A2_DATA_DEPENDENT:
+    if variant is Variant.A2_DATA_DEPENDENT and not knn:
         cand = candidates if candidates is not None else default_candidates(dataset)
         mesh = mesh_norm_report(part, cand)
         tilde_h = data_dependent_bandwidth(mesh, m, config.r, config.d)
-    return AvmModel(part, config, variant, float(h_val), tilde_h)
+    return AvmModel(part, config, variant, float(h_or_k), tilde_h)
 
 
-def _query_matrix(model: AvmModel, X: np.ndarray) -> np.ndarray:
+def _query_matrix(X: np.ndarray, d: int) -> np.ndarray:
+    """Queries as a finite float64 matrix of shape (q, d)."""
     Q = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if Q.shape[1] != model.config.d:
-        raise ValueError(
-            f"queries have dimension {Q.shape[1]}, model has {model.config.d}"
-        )
+    if Q.ndim != 2 or Q.shape[1] != d:
+        raise ValueError(f"queries have shape {Q.shape}, expected (q, {d})")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("query points must be finite")
     return Q
 
 
-def _nwk_block_estimates(
-    partition: PartitionedDataset, kind: KernelKind, h: float, Q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block NWK estimates at each query.
+def nwk_mean(
+    dist: np.ndarray,
+    y: np.ndarray,
+    kind: KernelKind,
+    h: float,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """NWK estimates and degenerate flags (estimate 0) per row of ``dist``.
 
-    Returns ``(estimates, active, degenerate)``, each of shape (m, Q):
-    estimates are 0 where a block is degenerate; ``active`` marks blocks
-    with a sample within ``h`` of the query.
+    A given ``out`` must be zero-filled; it saves a copy per block.
     """
-    m = partition.m
-    nq = Q.shape[0]
-    estimates = np.zeros((m, nq))
-    active = np.zeros((m, nq), dtype=bool)
-    degenerate = np.zeros((m, nq), dtype=bool)
-    for j, block in enumerate(partition.blocks):
-        dist = cdist(Q, block.x)
-        raw = kernel_profile(kind, dist / h)
-        den = raw.sum(axis=1)
-        num = raw @ block.y
-        ok = den > 0.0
-        np.divide(num, den, out=estimates[j], where=ok)
-        active[j] = dist.min(axis=1) <= h
-        degenerate[j] = ~ok
-    return estimates, active, degenerate
+    raw = kernel_profile(kind, dist / h)
+    den = raw.sum(axis=1)
+    num = raw @ y
+    ok = den > 0.0
+    if out is None:
+        out = np.zeros_like(num)
+    return np.divide(num, den, out=out, where=ok), ~ok
 
 
-def _knn_block_estimates(
-    partition: PartitionedDataset, k: int, Q: np.ndarray
-) -> np.ndarray:
-    m = partition.m
-    estimates = np.zeros((m, Q.shape[0]))
-    for j, block in enumerate(partition.blocks):
-        dist = cdist(Q, block.x)
-        if k < block.n:
-            nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        else:
-            nearest = np.broadcast_to(np.arange(block.n), (Q.shape[0], block.n))
-        estimates[j] = block.y[nearest].mean(axis=1)
+def knn_mean(dist: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Mean response of the ``k`` nearest samples per row of ``dist``.
+
+    Ties go to the lower sample index: rows whose ``k``-th distance recurs
+    past the ``argpartition`` pick are re-picked with a stable sort.
+    """
+    if k >= dist.shape[1]:
+        return np.full(dist.shape[0], y.mean())
+    nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    estimates = y[nearest].mean(axis=1)
+    kth = dist[np.arange(dist.shape[0]), nearest[:, k - 1]]
+    within = dist <= kth[:, None]
+    # every row has at least k samples within its k-th distance
+    if np.count_nonzero(within) > within.shape[0] * k:
+        tied = np.count_nonzero(within, axis=1) > k
+        stable = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+        estimates[tied] = y[stable].mean(axis=1)
     return estimates
 
 
-def predict_batch(model: AvmModel, X: np.ndarray) -> BatchPrediction:
-    """Evaluate the model at many query points.
+def block_estimates(
+    partition: PartitionedDataset,
+    family: EstimatorFamily,
+    h_or_k: float,
+    Q: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block estimates at each query.
 
-    Per-block estimates are combined in block-index order so that repeated
-    runs are bit-for-bit reproducible.
+    Returns ``(estimates, active, degenerate)``, each of shape (m, q):
+    estimates are 0 where a block is degenerate; ``active`` marks blocks
+    with a sample within ``h`` of the query (every k-NN block is active
+    and none is degenerate).
     """
-    Q = _query_matrix(model, X)
-    m = model.m
+    shape = (partition.m, Q.shape[0])
+    estimates = np.zeros(shape)
+    active = np.ones(shape, dtype=bool)
+    degenerate = np.zeros(shape, dtype=bool)
+    kind = _FAMILY_KERNEL.get(family)
+    for j, block in enumerate(partition.blocks):
+        dist = cdist(Q, block.x)
+        if family is EstimatorFamily.KNN:
+            estimates[j] = knn_mean(dist, block.y, int(h_or_k))
+        else:
+            _, degenerate[j] = nwk_mean(dist, block.y, kind, h_or_k, estimates[j])
+            active[j] = dist.min(axis=1) <= h_or_k
+    return estimates, active, degenerate
 
-    if model.config.family is EstimatorFamily.KNN:
-        estimates = _knn_block_estimates(model.partition, int(model.h_or_k), Q)
-        values = estimates.mean(axis=0)
-        full = np.full(Q.shape[0], m, dtype=np.int64)
-        return BatchPrediction(values, full, np.zeros(Q.shape[0], dtype=np.int64))
 
-    kind = _FAMILY_KERNEL[model.config.family]
-    h = model.tilde_h if model.variant is Variant.A2_DATA_DEPENDENT else model.h_or_k
-    estimates, active, degenerate = _nwk_block_estimates(
-        model.partition, kind, float(h), Q
-    )
-    active_counts = active.sum(axis=0)
-    degenerate_counts = degenerate.sum(axis=0)
-    if model.variant is Variant.A3_QUALIFIED:
-        m0 = active_counts
+def combine(variant: Variant, estimates: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Average (m, q) block estimates per query: A3 over active blocks only."""
+    if variant is Variant.A3_QUALIFIED:
+        m0 = active.sum(axis=0)
         qualified = np.where(active, estimates, 0.0).sum(axis=0)
-        values = np.divide(
-            qualified, m0, out=np.zeros(Q.shape[0]), where=m0 > 0
-        )
-    else:
-        values = estimates.mean(axis=0)
-    return BatchPrediction(values, active_counts, degenerate_counts)
+        return np.divide(qualified, m0, out=np.zeros_like(qualified), where=m0 > 0)
+    return estimates.mean(axis=0)
+
+
+def predict_batch(model: AvmModel, X: np.ndarray) -> BatchPrediction:
+    """Evaluate the model at many query points; they must be finite."""
+    Q = _query_matrix(X, model.config.d)
+    h_or_k = model.h_or_k if model.tilde_h is None else model.tilde_h
+    estimates, active, degenerate = block_estimates(
+        model.partition, model.config.family, h_or_k, Q
+    )
+    return BatchPrediction(
+        combine(model.variant, estimates, active),
+        active.sum(axis=0),
+        degenerate.sum(axis=0),
+    )
 
 
 def _predict_one(model: AvmModel, x: np.ndarray, variant: Variant) -> PredictionReport:

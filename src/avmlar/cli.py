@@ -81,9 +81,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     train = read_csv(args.train)
     family = _KERNEL_FAMILY[args.kernel]
-    config = EstimatorConfig(
-        family, r=args.r, d=train.d, constant_c=args.c, noise_bound_M=args.m_bound
-    )
+    config = EstimatorConfig(family, r=args.r, d=train.d, constant_c=args.c)
     variant = _VARIANTS[args.variant]
     candidates = None
     if args.mesh_grid is not None and train.d == 1:
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--k", type=int, default=None, help="explicit neighbor count")
     pred.add_argument("--c", type=float, default=1.0, help="rule constant")
     pred.add_argument("--r", type=float, default=1.0, help="assumed smoothness")
-    pred.add_argument("--m-bound", type=float, default=1.0)
     pred.add_argument("--mesh-grid", type=int, default=None, help="d=1 grid resolution")
     pred.add_argument("--train", required=True)
     pred.add_argument("--query", required=True)

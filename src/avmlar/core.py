@@ -38,16 +38,14 @@ class EstimatorConfig:
     """Estimator family plus the knobs feeding the localization-parameter rules.
 
     ``r`` is the assumed smoothness of the regression function, ``d`` the
-    input dimension, ``constant_c`` the multiplier in the bandwidth / k
-    rules, and ``noise_bound_M`` the nominal response bound (advisory for
-    ingested data).
+    input dimension, and ``constant_c`` the multiplier in the bandwidth / k
+    rules.
     """
 
     family: EstimatorFamily
     r: float
     d: int
     constant_c: float = 1.0
-    noise_bound_M: float = 1.0
 
     def __post_init__(self) -> None:
         if self.r <= 0:
@@ -56,8 +54,6 @@ class EstimatorConfig:
             raise ValueError(f"dimension d must be a positive integer, got {self.d}")
         if self.constant_c <= 0:
             raise ValueError(f"constant_c must be positive, got {self.constant_c}")
-        if self.noise_bound_M <= 0:
-            raise ValueError(f"noise_bound_M must be positive, got {self.noise_bound_M}")
 
 
 class Dataset:

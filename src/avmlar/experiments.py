@@ -22,9 +22,10 @@ import numpy as np
 from .avm import (
     AvmModel,
     Variant,
+    _rule_h_or_k,
+    block_estimates,
+    combine,
     data_dependent_bandwidth,
-    knn_k_rule,
-    nwk_bandwidth_rule,
     predict_batch,
 )
 from .core import Dataset, EstimatorConfig, EstimatorFamily, mse
@@ -191,18 +192,20 @@ def _one_block_partition(part: PartitionedDataset, j: int) -> PartitionedDataset
     )
 
 
+def _single_block_mse(
+    part: PartitionedDataset, test: Dataset, estimator: EstimatorConfig
+) -> float:
+    """Test MSE of the estimator on a one-block partition, h/k by rule."""
+    n = part.blocks[0].n
+    h_or_k = _rule_h_or_k(estimator, n, 1, n)
+    model = AvmModel(part, estimator, Variant.A1_PLAIN, h_or_k)
+    return mse(predict_batch(model, test.x).values, test.y)
+
+
 def _single_machine_mse(
     train: Dataset, test: Dataset, estimator: EstimatorConfig, seed: int
 ) -> float:
-    part = random_partition(train, 1, seed)
-    if estimator.family is EstimatorFamily.KNN:
-        k = knn_k_rule(train.n, 1, estimator.r, estimator.d, estimator.constant_c).k
-        k = max(1, min(k, train.n))
-        model = AvmModel(part, estimator, Variant.A1_PLAIN, float(k))
-    else:
-        h = nwk_bandwidth_rule(train.n, estimator.r, estimator.d, estimator.constant_c)
-        model = AvmModel(part, estimator, Variant.A1_PLAIN, h)
-    return mse(predict_batch(model, test.x).values, test.y)
+    return _single_block_mse(random_partition(train, 1, seed), test, estimator)
 
 
 def knn_admissible_m(N: int, r: float, d: int) -> float:
@@ -237,46 +240,29 @@ def compute_ge_le_ae(
     row["ge"] = ge
 
     part = random_partition(train, m, _mix_seed(seed, m))
-    knn = estimator.family is EstimatorFamily.KNN
+    row["le"] = _single_block_mse(_one_block_partition(part, 0), test, estimator)
 
-    le_part = _one_block_partition(part, 0)
-    n_block = le_part.blocks[0].n
-    if knn:
-        k_le = knn_k_rule(n_block, 1, estimator.r, estimator.d, estimator.constant_c).k
-        le_model = AvmModel(
-            le_part, estimator, Variant.A1_PLAIN, float(max(1, min(k_le, n_block)))
-        )
-    else:
-        h_le = nwk_bandwidth_rule(n_block, estimator.r, estimator.d, estimator.constant_c)
-        le_model = AvmModel(le_part, estimator, Variant.A1_PLAIN, h_le)
-    row["le"] = mse(predict_batch(le_model, test.x).values, test.y)
-
-    if knn:
-        k = knn_k_rule(train.n, m, estimator.r, estimator.d, estimator.constant_c).k
-        k = max(1, min(k, part.min_block_size))
-        for variant in variants:
-            model = AvmModel(part, estimator, variant, float(k))
-            row[_VARIANT_COLUMN[variant]] = mse(
-                predict_batch(model, test.x).values, test.y
-            )
-        return row
-
-    h = nwk_bandwidth_rule(train.n, estimator.r, estimator.d, estimator.constant_c)
+    h_or_k = _rule_h_or_k(estimator, train.n, m, part.min_block_size)
     mesh = None
-    if include_inactive or Variant.A2_DATA_DEPENDENT in variants:
+    if estimator.family is not EstimatorFamily.KNN and (
+        include_inactive or Variant.A2_DATA_DEPENDENT in variants
+    ):
         cand = candidates if candidates is not None else default_candidates(train)
         mesh = mesh_norm_report(part, cand)
-    if include_inactive and mesh is not None:
-        row["inactive_blocks"] = int(sum(v > h for v in mesh.per_block))
+        if include_inactive:
+            row["inactive_blocks"] = int(sum(v > h_or_k for v in mesh.per_block))
+    # A1 and A3 share the block matrix at h; A2 needs its own at tilde_h
+    block_matrices = {}
     for variant in variants:
-        tilde_h = None
-        if variant is Variant.A2_DATA_DEPENDENT:
-            assert mesh is not None
-            tilde_h = data_dependent_bandwidth(mesh, m, estimator.r, estimator.d)
-        model = AvmModel(part, estimator, variant, h, tilde_h)
-        row[_VARIANT_COLUMN[variant]] = mse(
-            predict_batch(model, test.x).values, test.y
-        )
+        bandwidth = h_or_k
+        if variant is Variant.A2_DATA_DEPENDENT and mesh is not None:
+            bandwidth = data_dependent_bandwidth(mesh, m, estimator.r, estimator.d)
+        if bandwidth not in block_matrices:
+            block_matrices[bandwidth] = block_estimates(
+                part, estimator.family, bandwidth, test.x
+            )
+        estimates, active, _ = block_matrices[bandwidth]
+        row[_VARIANT_COLUMN[variant]] = mse(combine(variant, estimates, active), test.y)
     return row
 
 

@@ -5,6 +5,9 @@ normalized by the sum over the block; when every raw weight vanishes the
 query is *degenerate* and the prediction is 0 (the 0/0 convention).
 k-NN averages the responses of the ``k`` nearest samples, with exact
 distance ties broken toward the lower original sample index.
+
+The scalar predictors wrap the estimator core in ``avm``: ``nwk_mean`` and
+``knn_mean``, where the k-NN tie rule lives.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
+from .avm import _query_matrix, knn_mean, nwk_mean
 from .core import Dataset
 from .kernels import KernelKind, kernel_profile
 
@@ -29,24 +34,22 @@ class WeightVector:
     degenerate: bool
 
 
-def _check_query(block: Dataset, x: np.ndarray) -> np.ndarray:
-    q = np.asarray(x, dtype=np.float64).reshape(-1)
-    if q.shape[0] != block.d:
-        raise ValueError(f"query has dimension {q.shape[0]}, block has {block.d}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query point must be finite")
-    return q
+def _distances(block: Dataset, x: np.ndarray) -> np.ndarray:
+    """Distances from the single query point ``x`` to the block, shape (1, n)."""
+    return cdist(_query_matrix(np.reshape(x, (1, -1)), block.d), block.x)
+
+
+def _check_h(h: float) -> None:
+    if h <= 0:
+        raise ValueError(f"bandwidth h must be positive, got {h}")
 
 
 def nwk_weights(
     block: Dataset, kind: KernelKind, h: float, x: np.ndarray
 ) -> WeightVector:
     """NWK weights of every block sample at the query point ``x``."""
-    if h <= 0:
-        raise ValueError(f"bandwidth h must be positive, got {h}")
-    q = _check_query(block, x)
-    dists = np.linalg.norm(block.x - q, axis=1)
-    raw = kernel_profile(kind, dists / h)
+    _check_h(h)
+    raw = kernel_profile(kind, _distances(block, x)[0] / h)
     total = raw.sum()
     if total == 0.0:
         return WeightVector(np.zeros_like(raw), degenerate=True)
@@ -55,17 +58,9 @@ def nwk_weights(
 
 def nwk_predict(block: Dataset, kind: KernelKind, h: float, x: np.ndarray) -> float:
     """NWK prediction at ``x``; 0 for degenerate queries (0/0 convention)."""
-    wv = nwk_weights(block, kind, h, x)
-    if wv.degenerate:
-        return 0.0
-    return float(wv.weights @ block.y)
-
-
-def _knn_order(block: Dataset, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dists = np.linalg.norm(block.x - x, axis=1)
-    # stable sort: equal distances keep original index order
-    order = np.argsort(dists, kind="stable")
-    return order, dists
+    _check_h(h)
+    estimates, _ = nwk_mean(_distances(block, x), block.y, kind, h)
+    return float(estimates[0])
 
 
 def _check_k(block: Dataset, k: int) -> int:
@@ -78,14 +73,10 @@ def _check_k(block: Dataset, k: int) -> int:
 def knn_predict(block: Dataset, k: int, x: np.ndarray) -> float:
     """Mean response of the ``k`` samples nearest to ``x``."""
     k = _check_k(block, k)
-    q = _check_query(block, x)
-    order, _ = _knn_order(block, q)
-    return float(block.y[order[:k]].mean())
+    return float(knn_mean(_distances(block, x), block.y, k)[0])
 
 
 def knn_effective_radius(block: Dataset, k: int, x: np.ndarray) -> float:
     """Distance from ``x`` to its ``k``-th nearest block sample."""
     k = _check_k(block, k)
-    q = _check_query(block, x)
-    order, dists = _knn_order(block, q)
-    return float(dists[order[k - 1]])
+    return float(np.partition(_distances(block, x)[0], k - 1)[k - 1])

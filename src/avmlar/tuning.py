@@ -8,14 +8,15 @@ The winner is the grid argmin, ties going to the smaller constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .avm import knn_k_rule, nwk_bandwidth_rule
+from .avm import _rule_h_or_k, nwk_mean
 from .core import Dataset, EstimatorConfig, EstimatorFamily
-from .kernels import KernelKind, kernel_profile
+# kernel_profile is unused here but traced on this module by perfbench/spans.py
+from .kernels import KernelKind, kernel_profile  # noqa: F401
 from .partition import random_partition
 
 
@@ -49,16 +50,6 @@ def default_constant_grid(lo: float = 0.05, hi: float = 5.0, n: int = 20) -> tup
     if n == 1:
         return (lo,)
     return tuple(np.geomspace(lo, hi, n))
-
-
-def _nwk_holdout_mse(
-    dist: np.ndarray, train_y: np.ndarray, test_y: np.ndarray, kind: KernelKind, h: float
-) -> float:
-    raw = kernel_profile(kind, dist / h)
-    den = raw.sum(axis=1)
-    num = raw @ train_y
-    pred = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(np.mean((pred - test_y) ** 2))
 
 
 def _naive_holdout_mses(
@@ -104,26 +95,23 @@ def cv_score_grid(
         train_x, train_y = dataset.x[train_idx], dataset.y[train_idx]
         test_x, test_y = dataset.x[test_idx], dataset.y[test_idx]
         n_train = train_x.shape[0]
+        params = [
+            _rule_h_or_k(replace(config, constant_c=c), n_train, 1, n_train)
+            for c in cv.grid
+        ]
         dist = cdist(test_x, train_x)
         if config.family is EstimatorFamily.KNN:
             order = np.argsort(dist, axis=1, kind="stable")
             prefix = np.cumsum(train_y[order], axis=1)
-            for gi, c in enumerate(cv.grid):
-                k = knn_k_rule(n_train, 1, config.r, config.d, c).k
-                k = min(k, n_train)
+            for gi, k in enumerate(map(int, params)):
                 pred = prefix[:, k - 1] / k
                 scores[gi, i] = float(np.mean((pred - test_y) ** 2))
         elif config.family is EstimatorFamily.NWK_NAIVE:
-            bandwidths = np.array(
-                [nwk_bandwidth_rule(n_train, config.r, config.d, c) for c in cv.grid]
-            )
-            scores[:, i] = _naive_holdout_mses(dist, train_y, test_y, bandwidths)
+            scores[:, i] = _naive_holdout_mses(dist, train_y, test_y, np.array(params))
         else:
-            for gi, c in enumerate(cv.grid):
-                h = nwk_bandwidth_rule(n_train, config.r, config.d, c)
-                scores[gi, i] = _nwk_holdout_mse(
-                    dist, train_y, test_y, KernelKind.GAUSSIAN, h
-                )
+            for gi, h in enumerate(params):
+                pred, _ = nwk_mean(dist, train_y, KernelKind.GAUSSIAN, h)
+                scores[gi, i] = float(np.mean((pred - test_y) ** 2))
     return scores.mean(axis=1)
 
 

@@ -215,6 +215,16 @@ def test_active_fraction_nonincreasing_under_refinement():
     assert all(a >= b - 1e-12 for a, b in zip(fractions, fractions[1:]))
 
 
+def test_fit_clamps_rule_k_to_smallest_block():
+    ds = uniform_dataset(10, seed=14)
+    cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1, constant_c=100.0)
+    assert knn_k_rule(10, 2, cfg.r, cfg.d, cfg.constant_c).k > 5
+    model = fit_avm(ds, cfg, 2, 0)
+    assert model.h_or_k == model.partition.min_block_size == 5
+    with pytest.raises(ValueError):
+        fit_avm(ds, cfg, 2, 0, k=6)  # an explicit k is not clamped
+
+
 def test_knn_variants_coincide():
     cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
     ds = uniform_dataset(40, seed=10)
@@ -256,6 +266,9 @@ def test_model_validation():
         avm_predict_a3(model, [0.5])  # wrong variant
     with pytest.raises(ValueError):
         predict_batch(model, np.zeros((3, 2)))  # dimension mismatch
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            predict_batch(model, [[0.5], [bad]])  # non-finite query
 
 
 def test_variants_match_brute_force_oracle():
@@ -279,4 +292,24 @@ def test_variants_match_brute_force_oracle():
         a3 = AvmModel(a1.partition, a1.config, Variant.A3_QUALIFIED, h)
         assert avm_predict_a3(a3, q).value == pytest.approx(
             oracles.avm_a3_nwk(blocks, "naive", h, q), abs=1e-12
+        )
+    # duplicate inputs tie k-NN distances, and ties go to the lower index
+    for _ in range(25):
+        d = int(rng.integers(1, 3))
+        n = int(rng.integers(6, 30))
+        m = int(rng.integers(1, 4))
+        lattice = rng.integers(0, 3, size=(n, d)) / 2
+        ds = Dataset(lattice, rng.normal(size=n), np.tile([0.0, 1.0], (d, 1)))
+        k = int(rng.integers(1, n // m + 1))
+        cfg = EstimatorConfig(EstimatorFamily.KNN, 1.0, d)
+        model = fit_avm(ds, cfg, m, 3, k=k)
+        blocks = [
+            ([tuple(r) for r in b.x], list(b.y)) for b in model.partition.blocks
+        ]
+        queries = rng.integers(0, 5, size=(8, d)) / 4
+        np.testing.assert_allclose(
+            predict_batch(model, queries).values,
+            [oracles.avm_knn(blocks, k, q) for q in queries],
+            rtol=0,
+            atol=1e-12,
         )

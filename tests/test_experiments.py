@@ -29,9 +29,12 @@ def small_data(n=300, seed=0, kind=TargetKind.G1):
     return generate_dataset(tm, n, seed), generate_test_set(tm, 100, seed + 1)
 
 
-def test_m1_collapse_identities():
+@pytest.mark.parametrize(
+    "estimator", [NWK, EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)], ids=["nwk", "knn"]
+)
+def test_m1_collapse_identities(estimator):
     train, test = small_data()
-    row = compute_ge_le_ae(train, test, NWK, 1, seed=5, variants=ALL)
+    row = compute_ge_le_ae(train, test, estimator, 1, seed=5, variants=ALL)
     assert row["ae_a1"] == row["ge"]
     assert row["le"] == row["ge"]
 
