@@ -130,15 +130,6 @@ class AvmModel:
 
 
 @dataclass(frozen=True)
-class PredictionReport:
-    """Combined prediction plus per-query block diagnostics."""
-
-    value: float
-    active_blocks: int
-    degenerate_blocks: int
-
-
-@dataclass(frozen=True)
 class BatchPrediction:
     """Vectorized prediction results for a batch of query points."""
 
@@ -275,7 +266,11 @@ def combine(variant: Variant, estimates: np.ndarray, active: np.ndarray) -> np.n
 
 
 def predict_batch(model: AvmModel, X: np.ndarray) -> BatchPrediction:
-    """Evaluate the model at many query points; they must be finite."""
+    """Evaluate the model at finite query points, one per row of ``X``.
+
+    This is the only prediction entry point: the model carries its variant,
+    and one query is a one-row batch (a 1-d ``X`` is read as one row).
+    """
     Q = _query_matrix(X, model.config.d)
     h_or_k = model.h_or_k if model.tilde_h is None else model.tilde_h
     estimates, active, degenerate = block_estimates(
@@ -286,29 +281,3 @@ def predict_batch(model: AvmModel, X: np.ndarray) -> BatchPrediction:
         active.sum(axis=0),
         degenerate.sum(axis=0),
     )
-
-
-def _predict_one(model: AvmModel, x: np.ndarray, variant: Variant) -> PredictionReport:
-    if model.variant is not variant:
-        raise ValueError(f"model variant is {model.variant}, expected {variant}")
-    batch = predict_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return PredictionReport(
-        float(batch.values[0]),
-        int(batch.active_blocks[0]),
-        int(batch.degenerate_blocks[0]),
-    )
-
-
-def avm_predict_a1(model: AvmModel, x: np.ndarray) -> PredictionReport:
-    """Plain block average at ``x``; degenerate blocks contribute 0."""
-    return _predict_one(model, x, Variant.A1_PLAIN)
-
-
-def avm_predict_a2(model: AvmModel, x: np.ndarray) -> PredictionReport:
-    """Block average with the data-dependent common bandwidth."""
-    return _predict_one(model, x, Variant.A2_DATA_DEPENDENT)
-
-
-def avm_predict_a3(model: AvmModel, x: np.ndarray) -> PredictionReport:
-    """Average over active blocks only; 0 when no block qualifies."""
-    return _predict_one(model, x, Variant.A3_QUALIFIED)

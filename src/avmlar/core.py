@@ -1,4 +1,4 @@
-"""Shared domain types: samples, datasets, estimator configuration, MSE.
+"""Shared domain types: datasets, estimator configuration, MSE.
 
 All numeric storage is float64; datasets are immutable after construction
 and safe to share across threads.
@@ -10,7 +10,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,14 +23,6 @@ class EstimatorFamily(Enum):
     NWK_NAIVE = "nwk-naive"
     NWK_GAUSSIAN = "nwk-gaussian"
     KNN = "knn"
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observation: input coordinates ``x`` and scalar response ``y``."""
-
-    x: tuple[float, ...]
-    y: float
 
 
 @dataclass(frozen=True)
@@ -128,37 +120,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(tuple(self.x[i]), float(self.y[i]))
-
-    @property
-    def samples(self) -> list[Sample]:
-        """Materialize the samples in insertion order."""
-        return [self[i] for i in range(self.n)]
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Iterable[Sample | tuple],
-        domain_bounds: np.ndarray | None = None,
-        validate_bounds: bool = True,
-    ) -> "Dataset":
-        xs, ys = [], []
-        for s in samples:
-            if isinstance(s, Sample):
-                xs.append(s.x)
-                ys.append(s.y)
-            else:
-                xs.append(s[0])
-                ys.append(s[1])
-        x = np.asarray(xs, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        return cls(x, ys, domain_bounds, validate_bounds)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """New dataset of the given rows (parent order), sharing domain bounds."""

@@ -129,7 +129,11 @@ class ExperimentConfig:
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, **overrides) -> "ExperimentConfig":
-        """Config with the standard defaults for the scenario."""
+        """Config with the standard defaults for the scenario.
+
+        The default m grid is cut to the requested ``n``; an explicit
+        ``m_grid`` is kept as given.
+        """
         kwargs: dict = {
             "scenario": scenario,
             "estimator": default_estimator(scenario),
@@ -139,6 +143,9 @@ class ExperimentConfig:
             kwargs["n"] = 413_363
             kwargs["trials"] = 1
         kwargs.update(overrides)
+        n = kwargs.get("n", cls.n)
+        if "m_grid" not in overrides and n is not None:
+            kwargs["m_grid"] = tuple(m for m in kwargs["m_grid"] if m <= n)
         return cls(**kwargs)
 
     def resolved_target(self) -> TargetModel | None:
@@ -223,7 +230,6 @@ def compute_ge_le_ae(
     *,
     candidates: np.ndarray | None = None,
     ge: float | None = None,
-    include_inactive: bool = True,
 ) -> dict[str, float | int | None]:
     """One sweep row: GE, LE, and the requested AE columns at block count ``m``.
 
@@ -233,7 +239,6 @@ def compute_ge_le_ae(
     """
     if m > train.n:
         raise ValueError(f"m={m} exceeds training size {train.n}")
-    variants = tuple(variants)
     row: dict[str, float | int | None] = {"m": int(m)}
     if ge is None:
         ge = _single_machine_mse(train, test, estimator, _mix_seed(seed, 1))
@@ -244,13 +249,10 @@ def compute_ge_le_ae(
 
     h_or_k = _rule_h_or_k(estimator, train.n, m, part.min_block_size)
     mesh = None
-    if estimator.family is not EstimatorFamily.KNN and (
-        include_inactive or Variant.A2_DATA_DEPENDENT in variants
-    ):
+    if estimator.family is not EstimatorFamily.KNN:
         cand = candidates if candidates is not None else default_candidates(train)
         mesh = mesh_norm_report(part, cand)
-        if include_inactive:
-            row["inactive_blocks"] = int(sum(v > h_or_k for v in mesh.per_block))
+        row["inactive_blocks"] = int(sum(v > h_or_k for v in mesh.per_block))
     # A1 and A3 share the block matrix at h; A2 needs its own at tilde_h
     block_matrices = {}
     for variant in variants:
@@ -315,15 +317,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         road = load_road_network(config.data_path).dataset
     estimator = config.estimator
     knn = estimator.family is EstimatorFamily.KNN
-    admissible = None
-    if knn:
-        if road is not None:
-            avail = road.n - config.t
-            n_train = avail if config.n is None else min(config.n, avail)
-        else:
-            n_train = config.n
-        admissible = knn_admissible_m(n_train, estimator.r, estimator.d)
-
     tuned: float | None = None
     train_size = test_size = None
     rows: list[dict[str, float | int | None]] = []
@@ -341,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         candidates = None if knn else _mesh_candidates(config, train)
         ge = _single_machine_mse(train, test, estimator, _mix_seed(trial_seed, 1))
         for m in config.m_grid:
-            if knn and m > admissible:
+            if knn and m > knn_admissible_m(train.n, estimator.r, estimator.d):
                 row: dict[str, float | int | None] = {
                     "trial": trial,
                     "m": m,
@@ -358,7 +351,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 config.variants(),
                 candidates=candidates,
                 ge=ge,
-                include_inactive=not knn,
             )
             row["trial"] = trial
             if knn:

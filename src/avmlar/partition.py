@@ -16,9 +16,6 @@ from scipy.spatial import cKDTree
 
 from .core import Dataset
 
-# above this many pairwise distances, nearest-sample queries go through a k-d tree
-_BRUTE_FORCE_PAIR_LIMIT = 1 << 25
-
 
 @dataclass(frozen=True)
 class PartitionedDataset:
@@ -76,22 +73,12 @@ def random_partition(dataset: Dataset, m: int, seed: int) -> PartitionedDataset:
     return PartitionedDataset(blocks, indices, int(seed), n_total)
 
 
-def _nearest_sample_distances(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest sample."""
-    n_pairs = points.shape[0] * samples.shape[0]
-    if n_pairs <= _BRUTE_FORCE_PAIR_LIMIT:
-        diff = points[:, None, :] - samples[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2)).min(axis=1)
-    tree = cKDTree(samples)
-    dist, _ = tree.query(points, k=1)
-    return np.asarray(dist, dtype=np.float64).reshape(-1)
-
-
 def mesh_norm(block: Dataset, candidates: np.ndarray) -> float:
     """Covering radius of the block over a finite candidate set.
 
-    Returns ``max`` over candidates of the minimum Euclidean distance to
-    any block sample; this lower-bounds the continuous covering radius.
+    Returns ``max`` over candidates of the Euclidean distance to the nearest
+    block sample, found with a k-d tree; this lower-bounds the continuous
+    covering radius.
     """
     cand = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     if cand.shape[0] < 1:
@@ -102,7 +89,8 @@ def mesh_norm(block: Dataset, candidates: np.ndarray) -> float:
         )
     if block.n < 1:
         raise ValueError("block must be nonempty")
-    return float(_nearest_sample_distances(cand, block.x).max())
+    dist, _ = cKDTree(block.x).query(cand)
+    return float(np.max(dist))
 
 
 def default_candidates(dataset: Dataset) -> np.ndarray:

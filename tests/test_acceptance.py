@@ -22,9 +22,6 @@ from avmlar import (
     TargetKind,
     TargetModel,
     Variant,
-    avm_predict_a1,
-    avm_predict_a2,
-    avm_predict_a3,
     compute_ge_le_ae,
     fit_avm,
     generate_dataset,
@@ -85,12 +82,9 @@ def test_criterion_1_oracle_equivalence():
             ]
             for q in queries:
                 expected = oracles.avm_knn(blocks, k, q)
-                for v, predict in (
-                    (Variant.A1_PLAIN, avm_predict_a1),
-                    (Variant.A2_DATA_DEPENDENT, avm_predict_a2),
-                    (Variant.A3_QUALIFIED, avm_predict_a3),
-                ):
-                    worst = max(worst, abs(predict(models[v], q).value - expected))
+                for v in Variant:
+                    got = predict_batch(models[v], [q]).values[0]
+                    worst = max(worst, abs(got - expected))
                     checked += 1
         else:
             fam = (
@@ -115,15 +109,15 @@ def test_criterion_1_oracle_equivalence():
             tilde = oracles.tilde_bandwidth(mesh, m, 1.0, d)
             for q in queries:
                 diff1 = abs(
-                    avm_predict_a1(a1, q).value
+                    predict_batch(a1, [q]).values[0]
                     - oracles.avm_a1_nwk(blocks, family, h, q)
                 )
                 diff2 = abs(
-                    avm_predict_a2(a2, q).value
+                    predict_batch(a2, [q]).values[0]
                     - oracles.avm_a2_nwk(blocks, family, tilde, q)
                 )
                 diff3 = abs(
-                    avm_predict_a3(a3, q).value
+                    predict_batch(a3, [q]).values[0]
                     - oracles.avm_a3_nwk(blocks, family, h, q)
                 )
                 worst = max(worst, diff1, diff2, diff3)

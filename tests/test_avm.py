@@ -10,9 +10,6 @@ from avmlar import (
     KernelKind,
     MeshNormReport,
     Variant,
-    avm_predict_a1,
-    avm_predict_a2,
-    avm_predict_a3,
     data_dependent_bandwidth,
     default_candidates,
     fit_avm,
@@ -94,9 +91,8 @@ def test_m1_collapses_to_single_block_lar():
     ds = uniform_dataset(30, seed=2)
     model = fit_avm(ds, NWK, 1, 7, Variant.A1_PLAIN, h=0.2)
     q = [0.4]
-    report = avm_predict_a1(model, q)
     expected = nwk_predict(model.partition.blocks[0], KernelKind.NAIVE, 0.2, q)
-    assert report.value == pytest.approx(expected, abs=1e-12)
+    assert predict_batch(model, [q]).values[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_a1_average_of_two_blocks():
@@ -104,34 +100,34 @@ def test_a1_average_of_two_blocks():
         [0.1, 0.12, 0.5, 0.52], [2.0, 2.0, 4.0, 4.0], [0, 1]
     )
     model = AvmModel(part, NWK, Variant.A1_PLAIN, 1.0)
-    report = avm_predict_a1(model, [0.3])
-    assert report.value == pytest.approx(3.0)
-    assert report.degenerate_blocks == 0
+    batch = predict_batch(model, [[0.3]])
+    assert batch.values[0] == pytest.approx(3.0)
+    assert batch.degenerate_blocks[0] == 0
 
 
 def test_a1_degenerate_block_contributes_zero():
     part = two_block_partition([0.1, 0.9], [1.0, 4.0], [0])
     model = AvmModel(part, NWK, Variant.A1_PLAIN, 0.2)
-    report = avm_predict_a1(model, [0.8])
-    assert report.value == pytest.approx(2.0)  # (0 + 4) / 2
-    assert report.degenerate_blocks == 1
-    assert report.active_blocks == 1
+    batch = predict_batch(model, [[0.8]])
+    assert batch.values[0] == pytest.approx(2.0)  # (0 + 4) / 2
+    assert batch.degenerate_blocks[0] == 1
+    assert batch.active_blocks[0] == 1
 
 
 def test_a3_averages_only_active_blocks():
     part = two_block_partition([0.1, 0.9], [1.0, 4.0], [0])
     model = AvmModel(part, NWK, Variant.A3_QUALIFIED, 0.2)
-    report = avm_predict_a3(model, [0.8])
-    assert report.value == pytest.approx(4.0)
-    assert report.active_blocks == 1
+    batch = predict_batch(model, [[0.8]])
+    assert batch.values[0] == pytest.approx(4.0)
+    assert batch.active_blocks[0] == 1
 
 
 def test_a3_no_active_blocks_returns_zero():
     part = two_block_partition([0.1, 0.9], [1.0, 4.0], [0])
     model = AvmModel(part, NWK, Variant.A3_QUALIFIED, 0.05)
-    report = avm_predict_a3(model, [0.5])
-    assert report.value == 0.0
-    assert report.active_blocks == 0
+    batch = predict_batch(model, [[0.5]])
+    assert batch.values[0] == 0.0
+    assert batch.active_blocks[0] == 0
 
 
 def test_a3_equals_a1_when_all_blocks_active():
@@ -176,19 +172,14 @@ def test_a2_m1_equals_single_lar_with_tilde():
     expected = nwk_predict(
         model.partition.blocks[0], KernelKind.NAIVE, model.tilde_h, q
     )
-    assert avm_predict_a2(model, q).value == pytest.approx(expected, abs=1e-12)
+    assert predict_batch(model, [q]).values[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_constant_responses_reproduced_by_all_variants():
     ds = uniform_dataset(60, seed=7, const_y=2.5)
-    for variant, predict in (
-        (Variant.A1_PLAIN, avm_predict_a1),
-        (Variant.A2_DATA_DEPENDENT, avm_predict_a2),
-        (Variant.A3_QUALIFIED, avm_predict_a3),
-    ):
+    for variant in Variant:
         model = fit_avm(ds, NWK, 3, 5, variant, h=0.3)
-        report = predict(model, [0.5])
-        assert report.value == pytest.approx(2.5)
+        assert predict_batch(model, [[0.5]]).values[0] == pytest.approx(2.5)
 
 
 def test_values_within_response_range_when_all_blocks_fine():
@@ -210,8 +201,7 @@ def test_active_fraction_nonincreasing_under_refinement():
     fractions = []
     for m in (1, 2, 4, 8):
         model = fit_avm(ds, NWK, m, 13, Variant.A1_PLAIN, h=h)
-        report = avm_predict_a1(model, q)
-        fractions.append(report.active_blocks / m)
+        fractions.append(predict_batch(model, [q]).active_blocks[0] / m)
     assert all(a >= b - 1e-12 for a, b in zip(fractions, fractions[1:]))
 
 
@@ -238,15 +228,16 @@ def test_knn_variants_coincide():
 
 
 def test_batch_matches_scalar_api():
+    # a one-row call is bitwise the matching row of a larger batch
     ds = uniform_dataset(50, seed=11)
     model = fit_avm(ds, NWK, 5, 2, Variant.A1_PLAIN, h=0.1)
     queries = np.random.default_rng(11).random((20, 1))
     batch = predict_batch(model, queries)
     for i, q in enumerate(queries):
-        rep = avm_predict_a1(model, q)
-        assert rep.value == batch.values[i]
-        assert rep.active_blocks == batch.active_blocks[i]
-        assert rep.degenerate_blocks == batch.degenerate_blocks[i]
+        one = predict_batch(model, q)
+        assert one.values.tobytes() == batch.values[i : i + 1].tobytes()
+        assert one.active_blocks[0] == batch.active_blocks[i]
+        assert one.degenerate_blocks[0] == batch.degenerate_blocks[i]
 
 
 def test_model_validation():
@@ -262,8 +253,6 @@ def test_model_validation():
     with pytest.raises(ValueError):
         AvmModel(part, knn_cfg, Variant.A1_PLAIN, 6)  # k > min block size
     model = fit_avm(ds, NWK, 2, 0, Variant.A1_PLAIN, h=0.2)
-    with pytest.raises(ValueError):
-        avm_predict_a3(model, [0.5])  # wrong variant
     with pytest.raises(ValueError):
         predict_batch(model, np.zeros((3, 2)))  # dimension mismatch
     for bad in (np.nan, np.inf):
@@ -286,11 +275,11 @@ def test_variants_match_brute_force_oracle():
         blocks = [
             ([tuple(r) for r in b.x], list(b.y)) for b in a1.partition.blocks
         ]
-        assert avm_predict_a1(a1, q).value == pytest.approx(
+        assert predict_batch(a1, [q]).values[0] == pytest.approx(
             oracles.avm_a1_nwk(blocks, "naive", h, q), abs=1e-12
         )
         a3 = AvmModel(a1.partition, a1.config, Variant.A3_QUALIFIED, h)
-        assert avm_predict_a3(a3, q).value == pytest.approx(
+        assert predict_batch(a3, [q]).values[0] == pytest.approx(
             oracles.avm_a3_nwk(blocks, "naive", h, q), abs=1e-12
         )
     # duplicate inputs tie k-NN distances, and ties go to the lower index

@@ -146,6 +146,17 @@ def test_experiment_m_grid_range_syntax(tmp_path):
     assert ms == [2, 4, 6]
 
 
+def test_experiment_default_grid_fits_small_n(tmp_path):
+    out = tmp_path / "res.csv"
+    code = run_cli(
+        "experiment", "--scenario", "sim2", "--n", 300, "--t", 20,
+        "--trials", 1, "--out", out,
+    )
+    assert code == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert [int(l.split(",")[1]) for l in lines[1:]] == [8, 16, 32, 64, 128, 256]
+
+
 def test_experiment_d5_flag(tmp_path):
     out = tmp_path / "res.csv"
     code = run_cli(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avmlar import Dataset, InvalidDataError, Sample, mse, read_csv, write_csv
+from avmlar import Dataset, InvalidDataError, mse, read_csv, write_csv
 from avmlar.core import EstimatorConfig, EstimatorFamily
 
 
@@ -41,8 +41,6 @@ def test_mse_properties():
 def test_dataset_basic_invariants():
     ds = Dataset(np.array([[0.1, 0.2], [0.5, 0.9]]), [1.0, 2.0])
     assert ds.n == 2 and ds.d == 2
-    assert ds[0] == Sample((0.1, 0.2), 1.0)
-    assert [s.y for s in ds.samples] == [1.0, 2.0]
 
 
 def test_dataset_immutable():

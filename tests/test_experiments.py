@@ -237,6 +237,10 @@ def test_default_grids():
     assert ExperimentConfig.for_scenario(Scenario.SIM2, n=10_000).m_grid == tuple(
         2**p for p in range(3, 12)
     )
+    # the default grid stops at n; an explicit one is checked at run time
+    assert ExperimentConfig.for_scenario(Scenario.SIM2, n=2000).m_grid == tuple(
+        2**p for p in range(3, 11)
+    )
     cfg = ExperimentConfig.for_scenario(Scenario.ROAD, data_path="x")
     assert cfg.m_grid == tuple(2**p for p in range(1, 11))
     assert cfg.estimator.constant_c == pytest.approx(0.13)

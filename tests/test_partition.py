@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,13 +87,27 @@ def test_mesh_norm_center_block():
 def test_mesh_norm_matches_brute_force():
     rng = np.random.default_rng(6)
     for _ in range(25):
-        d = int(rng.integers(1, 3))
+        d = int(rng.integers(1, 6))
         n = int(rng.integers(1, 12))
         c = int(rng.integers(1, 15))
         blk = Dataset(rng.random((n, d)), np.zeros(n))
         cand = rng.random((c, d))
         expected = oracles.mesh_norm([tuple(r) for r in blk.x], [tuple(r) for r in cand])
         assert mesh_norm(blk, cand) == pytest.approx(expected, abs=1e-12)
+
+
+def test_mesh_norm_memory_is_bounded():
+    # a candidate-by-sample distance array would take 4000 * 1000 * 5 * 8 B
+    rng = np.random.default_rng(9)
+    blk = Dataset(rng.random((1000, 5)), np.zeros(1000))
+    cand = rng.random((4000, 5))
+    tracemalloc.start()
+    try:
+        mesh_norm(blk, cand)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_mesh_norm_monotone_in_samples_and_candidates():
