@@ -159,14 +159,17 @@ def fit_avm(
 ) -> AvmModel:
     """Partition the data and resolve localization parameters.
 
-    When ``h``/``k`` are omitted they come from the parameter rules at the
-    full sample size ``N``, a rule ``k`` being clamped to the smallest
-    block; an explicit ``k`` above it raises. For A2 the covering radii are
-    computed over ``candidates`` (default: ``default_candidates(dataset)``)
-    to set the common bandwidth.
+    ``h`` is for NWK and ``k`` for k-NN; passing the other one raises. When
+    omitted they come from the parameter rules at the full sample size
+    ``N``, a rule ``k`` being clamped to the smallest block; an explicit
+    ``k`` above it raises. For A2 the covering radii are computed over
+    ``candidates`` (default: ``default_candidates(dataset)``) to set the
+    common bandwidth.
     """
-    part = random_partition(dataset, m, seed)
     knn = config.family is EstimatorFamily.KNN
+    if (h if knn else k) is not None:
+        raise ValueError("h= is for NWK estimators and k= for k-NN only")
+    part = random_partition(dataset, m, seed)
     h_or_k = k if knn else h
     if h_or_k is None:
         h_or_k = _rule_h_or_k(config, dataset.n, m, part.min_block_size)

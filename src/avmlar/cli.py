@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .avm import Variant, fit_avm, predict_batch
-from .core import EstimatorConfig, EstimatorFamily, read_csv, write_csv
+from .core import EstimatorConfig, EstimatorFamily, read_csv, read_table, write_csv
 from .datagen import TargetKind, TargetModel, generate_dataset, generate_test_set
 from .experiments import (
     ExperimentConfig,
@@ -26,12 +25,6 @@ _KERNEL_FAMILY = {
     "naive": EstimatorFamily.NWK_NAIVE,
     "gaussian": EstimatorFamily.NWK_GAUSSIAN,
     "knn": EstimatorFamily.KNN,
-}
-
-_VARIANTS = {
-    "a1": Variant.A1_PLAIN,
-    "a2": Variant.A2_DATA_DEPENDENT,
-    "a3": Variant.A3_QUALIFIED,
 }
 
 
@@ -52,21 +45,6 @@ def _parse_m_grid(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad m-grid {text!r}") from exc
 
 
-def _read_query_points(path: Path, d: int) -> np.ndarray:
-    """Read query points from a CSV with header ``x1..xd`` (a final ``y``
-    column, if present, is ignored)."""
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = len(header) - 1 if header and header[-1].strip() == "y" else len(header)
-        if cols != d:
-            raise ValueError(f"{path}: expected {d} coordinate columns, found {cols}")
-        rows = [[float(v) for v in row[:cols]] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no query rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     model = TargetModel(TargetKind(args.target), args.noise_sd)
     if args.test:
@@ -82,22 +60,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     train = read_csv(args.train)
     family = _KERNEL_FAMILY[args.kernel]
     config = EstimatorConfig(family, r=args.r, d=train.d, constant_c=args.c)
-    variant = _VARIANTS[args.variant]
-    candidates = None
-    if args.mesh_grid is not None and train.d == 1:
-        lo, hi = train.domain_bounds[0]
-        candidates = np.linspace(lo, hi, args.mesh_grid)[:, None]
-    model = fit_avm(
-        train,
-        config,
-        args.blocks,
-        args.seed,
-        variant,
-        h=args.h,
-        k=args.k,
-        candidates=candidates,
-    )
-    queries = _read_query_points(Path(args.query), train.d)
+    variant = Variant(args.variant)
+    model = fit_avm(train, config, args.blocks, args.seed, variant, h=args.h, k=args.k)
+    header, table = read_table(args.query)
+    cols = len(header) - (header[-1] == "y")
+    if cols != train.d:
+        raise ValueError(f"{args.query}: expected {train.d} x columns, found {cols}")
+    queries = table[:, :cols]
     batch = predict_batch(model, queries)
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -131,33 +100,30 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _given(**options) -> dict:
+    """The options that were set on the command line."""
+    return {name: v for name, v in options.items() if v is not None}
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    scenario = Scenario(args.scenario)
-    overrides: dict = {"base_seed": args.seed, "trials": args.trials}
-    if args.m_grid is not None:
-        overrides["m_grid"] = args.m_grid
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.t is not None:
-        overrides["t"] = args.t
-    if args.data is not None:
-        overrides["data_path"] = args.data
-    if args.mesh_cap is not None:
-        overrides["mesh_candidate_cap"] = args.mesh_cap
+    overrides = _given(
+        n=args.n,
+        t=args.t,
+        trials=args.trials,
+        m_grid=args.m_grid,
+        data_path=args.data,
+        mesh_candidate_cap=args.mesh_cap,
+    )
     if args.cv:
         overrides["cv"] = CvConfig(default_constant_grid(), seed=args.seed)
-    config = ExperimentConfig.for_scenario(scenario, **overrides)
-    if args.c is not None or args.r is not None or args.d is not None:
-        import dataclasses
-
-        est = config.estimator
-        if args.c is not None:
-            est = dataclasses.replace(est, constant_c=args.c)
-        if args.r is not None:
-            est = dataclasses.replace(est, r=args.r)
-        if args.d is not None:
-            est = dataclasses.replace(est, d=args.d)
-        config = dataclasses.replace(config, estimator=est)
+    config = ExperimentConfig.for_scenario(
+        Scenario(args.scenario), base_seed=args.seed, **overrides
+    )
+    est = _given(constant_c=args.c, r=args.r, d=args.d)
+    if est:
+        config = dataclasses.replace(
+            config, estimator=dataclasses.replace(config.estimator, **est)
+        )
     result = run_experiment(config)
     out = Path(args.out)
     write_result_csv(result, out)
@@ -176,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate synthetic data as CSV")
-    gen.add_argument("--target", choices=["g1", "g2", "g3"], required=True)
+    gen.add_argument("--target", choices=[k.value for k in TargetKind], required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--noise-sd", type=float, default=None)
@@ -185,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     pred = sub.add_parser("predict", help="block-averaged predictions at query points")
-    pred.add_argument("--variant", choices=list(_VARIANTS), default="a1")
+    pred.add_argument("--variant", choices=[v.value for v in Variant], default="a1")
     pred.add_argument("--kernel", choices=list(_KERNEL_FAMILY), default="naive")
     pred.add_argument("--blocks", type=int, required=True)
     pred.add_argument("--seed", type=int, default=0)
@@ -193,14 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--k", type=int, default=None, help="explicit neighbor count")
     pred.add_argument("--c", type=float, default=1.0, help="rule constant")
     pred.add_argument("--r", type=float, default=1.0, help="assumed smoothness")
-    pred.add_argument("--mesh-grid", type=int, default=None, help="d=1 grid resolution")
     pred.add_argument("--train", required=True)
     pred.add_argument("--query", required=True)
     pred.add_argument("--out", required=True)
     pred.set_defaults(func=_cmd_predict)
 
     tune = sub.add_parser("tune", help="cross-validate the rule constant")
-    tune.add_argument("--target", choices=["g1", "g2", "g3"], default="g1")
+    tune.add_argument("--target", choices=[k.value for k in TargetKind], default="g1")
     tune.add_argument("--train", default=None, help="tune on a CSV instead")
     tune.add_argument("--kernel", choices=list(_KERNEL_FAMILY), default="naive")
     tune.add_argument("--n", type=int, default=2000)
@@ -220,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument("--n", type=int, default=None)
     exp.add_argument("--t", type=int, default=None)
-    exp.add_argument("--trials", type=int, default=20)
+    exp.add_argument("--trials", type=int, default=None)
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--m-grid", type=_parse_m_grid, default=None)
     exp.add_argument("--c", type=float, default=None)
     exp.add_argument("--r", type=float, default=None)
     exp.add_argument(
-        "--d", type=int, choices=[1, 5], default=None,
-        help="input dimension for the synthetic sweeps (1: bump, 5: radial)",
+        "--d", type=int, default=None,
+        help="input dimension; the scenario must have data of that dimension",
     )
     exp.add_argument("--cv", action="store_true", help="tune the constant first")
     exp.add_argument("--data", default=None, help="road-network CSV path")

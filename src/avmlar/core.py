@@ -150,29 +150,37 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
 
 
-def read_csv(path: str | Path) -> Dataset:
-    """Read a dataset from the ``x1,...,xd,y`` CSV format.
+def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Read a numeric CSV: a header row, then rows with as many fields.
 
-    Domain bounds are set to the observed bounding box.
+    Blank lines are skipped. Returns the stripped column names and the
+    rows as a float64 array.
     """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise InvalidDataError(f"{path}: empty file") from None
-        if len(header) < 2 or header[-1].strip() != "y":
-            raise InvalidDataError(f"{path}: expected header 'x1,...,xd,y'")
-        d = len(header) - 1
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != d + 1:
-                raise InvalidDataError(f"{path}:{lineno}: expected {d + 1} fields")
+            if len(row) != len(header):
+                raise InvalidDataError(f"{path}:{lineno}: expected {len(header)} fields")
             rows.append([float(v) for v in row])
     if not rows:
         raise InvalidDataError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    return Dataset(data[:, :d], data[:, d], validate_bounds=False)
+    return header, np.asarray(rows, dtype=np.float64)
+
+
+def read_csv(path: str | Path) -> Dataset:
+    """Read a dataset from the ``x1,...,xd,y`` CSV format.
+
+    Domain bounds are set to the observed bounding box.
+    """
+    header, data = read_table(path)
+    if len(header) < 2 or header[-1] != "y":
+        raise InvalidDataError(f"{path}: expected header 'x1,...,xd,y'")
+    return Dataset(data[:, :-1], data[:, -1], validate_bounds=False)

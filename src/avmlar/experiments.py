@@ -50,50 +50,42 @@ class Scenario(Enum):
     ROAD = "road"
 
 
-_SCENARIO_VARIANTS: dict[Scenario, tuple[Variant, ...]] = {
-    Scenario.SIM1_NWK: (Variant.A1_PLAIN,),
-    Scenario.SIM1_KNN: (Variant.A1_PLAIN,),
-    Scenario.SIM1_VARIANTS: (
-        Variant.A1_PLAIN,
-        Variant.A2_DATA_DEPENDENT,
-        Variant.A3_QUALIFIED,
+@dataclass(frozen=True)
+class _ScenarioSpec:
+    """What a scenario fixes: its variants, defaults and data source.
+
+    ``targets`` maps each input dimension the scenario has data for to its
+    synthetic target; ``None`` marks the road file.
+    """
+
+    variants: tuple[Variant, ...]
+    m_grid: tuple[int, ...]
+    estimator: EstimatorConfig
+    targets: Mapping[int, TargetKind | None]
+    n: int = 10_000
+    trials: int = 20
+
+
+_A1 = (Variant.A1_PLAIN,)
+_ALL = tuple(Variant)
+_NAIVE = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
+_KNN = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
+_ROAD = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=2, constant_c=0.13)
+_SIM1_GRID = tuple(range(5, 351, 5))
+_SIM1 = {1: TargetKind.G1, 5: TargetKind.G2}
+
+# every per-scenario default, and the data each scenario runs on
+_SCENARIOS = {
+    Scenario.SIM1_NWK: _ScenarioSpec(_A1, _SIM1_GRID, _NAIVE, _SIM1),
+    Scenario.SIM1_KNN: _ScenarioSpec(_A1, _SIM1_GRID, _KNN, _SIM1),
+    Scenario.SIM1_VARIANTS: _ScenarioSpec(_ALL, _SIM1_GRID, _NAIVE, _SIM1),
+    Scenario.SIM2: _ScenarioSpec(
+        _ALL, tuple(2**p for p in range(3, 12)), _NAIVE, {1: TargetKind.G3}
     ),
-    Scenario.SIM2: (
-        Variant.A1_PLAIN,
-        Variant.A2_DATA_DEPENDENT,
-        Variant.A3_QUALIFIED,
-    ),
-    Scenario.ROAD: (
-        Variant.A1_PLAIN,
-        Variant.A2_DATA_DEPENDENT,
-        Variant.A3_QUALIFIED,
+    Scenario.ROAD: _ScenarioSpec(
+        _ALL, tuple(2**p for p in range(1, 11)), _ROAD, {2: None}, n=413_363, trials=1
     ),
 }
-
-_VARIANT_COLUMN = {
-    Variant.A1_PLAIN: "ae_a1",
-    Variant.A2_DATA_DEPENDENT: "ae_a2",
-    Variant.A3_QUALIFIED: "ae_a3",
-}
-
-# fixed output ordering: m, GE, LE, AE-A1, AE-A2, AE-A3, inactive
-_ERROR_COLUMNS = ("ge", "le", "ae_a1", "ae_a2", "ae_a3", "inactive_blocks")
-
-
-def default_m_grid(scenario: Scenario) -> tuple[int, ...]:
-    if scenario in (Scenario.SIM1_NWK, Scenario.SIM1_KNN, Scenario.SIM1_VARIANTS):
-        return tuple(range(5, 351, 5))
-    if scenario is Scenario.SIM2:
-        return tuple(2**p for p in range(3, 12))
-    return tuple(2**p for p in range(1, 11))
-
-
-def default_estimator(scenario: Scenario) -> EstimatorConfig:
-    if scenario is Scenario.SIM1_KNN:
-        return EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
-    if scenario is Scenario.ROAD:
-        return EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=2, constant_c=0.13)
-    return EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
 
 
 @dataclass(frozen=True)
@@ -103,11 +95,10 @@ class ExperimentConfig:
     scenario: Scenario
     estimator: EstimatorConfig
     m_grid: tuple[int, ...]
-    n: int | None = 10_000
+    n: int | None
+    trials: int
     t: int = 1_000
-    trials: int = 20
     base_seed: int = 0
-    target: TargetModel | None = None
     data_path: str | None = None
     cv: CvConfig | None = None
     mesh_candidate_cap: int | None = None
@@ -121,6 +112,12 @@ class ExperimentConfig:
         if any(m < 1 for m in grid):
             raise ValueError("every m must be positive")
         object.__setattr__(self, "m_grid", grid)
+        dims = _SCENARIOS[self.scenario].targets
+        if self.estimator.d not in dims:
+            raise ValueError(
+                f"{self.scenario.value} data have dimension "
+                f"{' or '.join(map(str, dims))}, not d={self.estimator.d}"
+            )
         if self.scenario is Scenario.ROAD:
             if self.data_path is None:
                 raise ValueError("ROAD scenario requires data_path")
@@ -129,48 +126,37 @@ class ExperimentConfig:
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, **overrides) -> "ExperimentConfig":
-        """Config with the standard defaults for the scenario.
+        """Config with the scenario's defaults from ``_SCENARIOS``.
 
         The default m grid is cut to the requested ``n``; an explicit
         ``m_grid`` is kept as given.
         """
+        spec = _SCENARIOS[scenario]
         kwargs: dict = {
             "scenario": scenario,
-            "estimator": default_estimator(scenario),
-            "m_grid": default_m_grid(scenario),
+            "estimator": spec.estimator,
+            "m_grid": spec.m_grid,
+            "n": spec.n,
+            "trials": spec.trials,
+            **overrides,
         }
-        if scenario is Scenario.ROAD:
-            kwargs["n"] = 413_363
-            kwargs["trials"] = 1
-        kwargs.update(overrides)
-        n = kwargs.get("n", cls.n)
+        n = kwargs["n"]
         if "m_grid" not in overrides and n is not None:
-            kwargs["m_grid"] = tuple(m for m in kwargs["m_grid"] if m <= n)
+            kwargs["m_grid"] = tuple(m for m in spec.m_grid if m <= n)
         return cls(**kwargs)
 
     def resolved_target(self) -> TargetModel | None:
-        if self.scenario is Scenario.ROAD:
-            return None
-        if self.target is not None:
-            return self.target
-        if self.scenario is Scenario.SIM2:
-            return TargetModel(TargetKind.G3)
-        if self.estimator.d == 5:
-            return TargetModel(TargetKind.G2)
-        return TargetModel(TargetKind.G1)
+        """The synthetic target for the estimator's dimension; None for road."""
+        kind = _SCENARIOS[self.scenario].targets[self.estimator.d]
+        return None if kind is None else TargetModel(kind)
 
     def variants(self) -> tuple[Variant, ...]:
-        return _SCENARIO_VARIANTS[self.scenario]
+        return _SCENARIOS[self.scenario].variants
 
     def columns(self) -> tuple[str, ...]:
-        cols = ["trial", "m", "ge", "le"]
-        for v in self.variants():
-            cols.append(_VARIANT_COLUMN[v])
-        if self.estimator.family is EstimatorFamily.KNN:
-            cols.append("skipped")
-        else:
-            cols.append("inactive_blocks")
-        return tuple(cols)
+        knn = self.estimator.family is EstimatorFamily.KNN
+        ae = tuple(f"ae_{v.value}" for v in self.variants())
+        return ("trial", "m", "ge", "le", *ae, "skipped" if knn else "inactive_blocks")
 
 
 @dataclass(frozen=True)
@@ -182,11 +168,14 @@ class ExperimentResult:
     """
 
     config: ExperimentConfig
-    columns: tuple[str, ...]
     rows: tuple[Mapping[str, float | int | None], ...]
     tuned_constant: float | None = None
     train_size: int | None = None
     test_size: int | None = None
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.config.columns()
 
 
 def _mix_seed(seed: int, tag: int) -> int:
@@ -264,7 +253,7 @@ def compute_ge_le_ae(
                 part, estimator.family, bandwidth, test.x
             )
         estimates, active, _ = block_matrices[bandwidth]
-        row[_VARIANT_COLUMN[variant]] = mse(combine(variant, estimates, active), test.y)
+        row[f"ae_{variant.value}"] = mse(combine(variant, estimates, active), test.y)
     return row
 
 
@@ -286,11 +275,9 @@ def _trial_data(
     config: ExperimentConfig, road: Dataset | None, trial: int
 ) -> tuple[Dataset, Dataset]:
     trial_seed = config.base_seed + trial
-    if config.scenario is Scenario.ROAD:
-        assert road is not None
-        return _road_split(road, config.n, config.t, trial_seed)
     target = config.resolved_target()
-    assert target is not None
+    if target is None:
+        return _road_split(road, config.n, config.t, trial_seed)
     train = generate_dataset(target, config.n, trial_seed)
     test = generate_test_set(target, config.t, _mix_seed(trial_seed, _TEST_SET_TAG))
     return train, test
@@ -323,13 +310,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for trial in range(config.trials):
         train, test = _trial_data(config, road, trial)
         train_size, test_size = train.n, test.n
-        if config.cv is not None and tuned is None:
-            tuned = cv_select_constant(train, estimator, config.cv)
-            estimator = dataclasses.replace(estimator, constant_c=tuned)
         if max(config.m_grid) > train.n:
             raise ValueError(
                 f"m_grid maximum {max(config.m_grid)} exceeds training size {train.n}"
             )
+        if config.cv is not None and tuned is None:
+            tuned = cv_select_constant(train, estimator, config.cv)
+            estimator = dataclasses.replace(estimator, constant_c=tuned)
         trial_seed = config.base_seed + trial
         candidates = None if knn else _mesh_candidates(config, train)
         ge = _single_machine_mse(train, test, estimator, _mix_seed(trial_seed, 1))
@@ -356,9 +343,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if knn:
                 row["skipped"] = 0
             rows.append(row)
-    return ExperimentResult(
-        config, config.columns(), tuple(rows), tuned, train_size, test_size
-    )
+    return ExperimentResult(config, tuple(rows), tuned, train_size, test_size)
 
 
 @dataclass(frozen=True)
@@ -374,7 +359,7 @@ def summarize(result: ExperimentResult) -> SummaryTable:
     """Aggregate detail rows per ``m``: mean and population sd over trials."""
     if not result.rows:
         raise ValueError("cannot summarize an empty result")
-    error_cols = [c for c in result.columns if c in _ERROR_COLUMNS]
+    error_cols = [c for c in result.columns if c not in ("trial", "m", "skipped")]
     out_cols: list[str] = ["m"]
     for c in error_cols:
         out_cols += [f"{c}_mean", f"{c}_sd"]
@@ -424,47 +409,38 @@ def _format_cell(v: float | int | None) -> str:
 
 
 def _write_table(
-    path: Path,
+    path: str | Path,
+    config: ExperimentConfig,
     columns: tuple[str, ...],
     rows: Iterable[Mapping[str, float | int | None]],
-    header_lines: list[str],
+    notes: list[str],
 ) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in header_lines:
+    """CSV with a ``# config:`` line, the notes and a ``# generated_at:`` line."""
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    header = [f"config: {_config_json(config)}", *notes, f"generated_at: {now}"]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        for line in header:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
 
 
-def write_result_csv(
-    result: ExperimentResult, path: str | Path, timestamp: bool = True
-) -> None:
+def write_result_csv(result: ExperimentResult, path: str | Path) -> None:
     """Write detail rows as CSV with a reproducibility header."""
-    header = [f"config: {_config_json(result.config)}"]
+    notes = []
     if result.train_size is not None:
-        header.append(f"sizes: train={result.train_size} test={result.test_size}")
+        notes.append(f"sizes: train={result.train_size} test={result.test_size}")
     if result.tuned_constant is not None:
-        header.append(f"tuned_constant: {result.tuned_constant!r}")
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        header.append(f"generated_at: {now}")
-    _write_table(Path(path), result.columns, result.rows, header)
+        notes.append(f"tuned_constant: {result.tuned_constant!r}")
+    _write_table(path, result.config, result.columns, result.rows, notes)
 
 
-def write_summary_csv(
-    result: ExperimentResult, path: str | Path, timestamp: bool = True
-) -> None:
+def write_summary_csv(result: ExperimentResult, path: str | Path) -> None:
     """Write the per-``m`` summary as CSV."""
     summary = summarize(result)
-    header = [
-        f"config: {_config_json(result.config)}",
-        "sd: population (divided by trial count)",
-    ]
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        header.append(f"generated_at: {now}")
-    _write_table(Path(path), summary.columns, summary.rows, header)
+    notes = ["sd: population (divided by trial count)"]
+    _write_table(path, result.config, summary.columns, summary.rows, notes)
 
 
 def format_summary_text(result: ExperimentResult) -> str:

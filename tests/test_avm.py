@@ -252,6 +252,10 @@ def test_model_validation():
     knn_cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
     with pytest.raises(ValueError):
         AvmModel(part, knn_cfg, Variant.A1_PLAIN, 6)  # k > min block size
+    with pytest.raises(ValueError):
+        fit_avm(ds, knn_cfg, 4, 0, h=0.5)  # h is for NWK only
+    with pytest.raises(ValueError):
+        fit_avm(ds, NWK, 2, 0, k=3)  # k is for k-NN only
     model = fit_avm(ds, NWK, 2, 0, Variant.A1_PLAIN, h=0.2)
     with pytest.raises(ValueError):
         predict_batch(model, np.zeros((3, 2)))  # dimension mismatch

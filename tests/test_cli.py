@@ -74,6 +74,34 @@ def test_predict_knn(tmp_path):
     assert all(int(r["active_blocks"]) == 5 for r in rows)
 
 
+def test_predict_rejects_parameter_of_other_family(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    query = tmp_path / "query.csv"
+    run_cli("gen", "--target", "g1", "--n", 100, "--seed", 4, "--out", train)
+    run_cli("gen", "--target", "g1", "--n", 5, "--seed", 5, "--test", "--out", query)
+    for kernel, option, value in (("knn", "--h", 0.3), ("naive", "--k", 3)):
+        code = run_cli(
+            "predict", "--kernel", kernel, "--blocks", 5, option, value,
+            "--train", train, "--query", query, "--out", tmp_path / "o.csv",
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["", "x1,y\n"], ids=["empty", "header-only"])
+def test_predict_query_file_without_rows_fails(tmp_path, capsys, content):
+    train = tmp_path / "train.csv"
+    query = tmp_path / "query.csv"
+    run_cli("gen", "--target", "g1", "--n", 100, "--seed", 4, "--out", train)
+    query.write_text(content)
+    code = run_cli(
+        "predict", "--blocks", 5, "--train", train, "--query", query,
+        "--out", tmp_path / "o.csv",
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_predict_explicit_bandwidth_matches_library(tmp_path):
     train = tmp_path / "train.csv"
     query = tmp_path / "query.csv"

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from avmlar import (
+    CvConfig,
     EstimatorConfig,
     EstimatorFamily,
     ExperimentConfig,
@@ -223,6 +226,15 @@ def test_config_validation():
         ExperimentConfig.for_scenario(Scenario.SIM1_NWK, m_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig.for_scenario(Scenario.ROAD)  # missing data_path
+    # the estimator dimension must be one the scenario has data for
+    d5 = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=5)
+    with pytest.raises(ValueError, match="dimension"):
+        ExperimentConfig.for_scenario(Scenario.SIM2, estimator=d5)
+    with pytest.raises(ValueError, match="dimension"):
+        ExperimentConfig.for_scenario(Scenario.ROAD, data_path="road.txt", estimator=d5)
+    d2 = dataclasses.replace(d5, d=2)
+    with pytest.raises(ValueError, match="dimension"):
+        ExperimentConfig.for_scenario(Scenario.SIM1_NWK, estimator=d2)
     config = ExperimentConfig.for_scenario(
         Scenario.SIM1_NWK, n=50, t=10, trials=1, m_grid=(60,)
     )
@@ -230,21 +242,65 @@ def test_config_validation():
         run_experiment(config)  # m exceeds training size
 
 
+def test_grid_checked_before_cv(monkeypatch):
+    def no_cv(*args):
+        raise AssertionError("CV ran before the m grid was checked")
+
+    monkeypatch.setattr("avmlar.experiments.cv_select_constant", no_cv)
+    config = ExperimentConfig.for_scenario(
+        Scenario.SIM1_NWK, n=50, t=10, trials=1, m_grid=(60,),
+        cv=CvConfig((0.5, 1.0), folds=2),
+    )
+    with pytest.raises(ValueError, match="m_grid"):
+        run_experiment(config)
+
+
+SIM1_GRID = tuple(range(5, 351, 5))
+NWK_COLUMNS = ("trial", "m", "ge", "le", "ae_a1", "ae_a2", "ae_a3", "inactive_blocks")
+
+
 def test_default_grids():
-    assert ExperimentConfig.for_scenario(Scenario.SIM1_NWK, n=10_000).m_grid == tuple(
-        range(5, 351, 5)
-    )
-    assert ExperimentConfig.for_scenario(Scenario.SIM2, n=10_000).m_grid == tuple(
-        2**p for p in range(3, 12)
-    )
+    a1 = (Variant.A1_PLAIN,)
+    naive, knn = EstimatorFamily.NWK_NAIVE, EstimatorFamily.KNN
+    # scenario: variants, default m grid, (family, d, c), target, n, trials, columns
+    table = {
+        Scenario.SIM1_NWK: (
+            a1, SIM1_GRID, (naive, 1, 1.0), TargetKind.G1, 10_000, 20,
+            ("trial", "m", "ge", "le", "ae_a1", "inactive_blocks"),
+        ),
+        Scenario.SIM1_KNN: (
+            a1, SIM1_GRID, (knn, 1, 1.0), TargetKind.G1, 10_000, 20,
+            ("trial", "m", "ge", "le", "ae_a1", "skipped"),
+        ),
+        Scenario.SIM1_VARIANTS: (
+            ALL, SIM1_GRID, (naive, 1, 1.0), TargetKind.G1, 10_000, 20, NWK_COLUMNS,
+        ),
+        Scenario.SIM2: (
+            ALL, tuple(2**p for p in range(3, 12)), (naive, 1, 1.0), TargetKind.G3,
+            10_000, 20, NWK_COLUMNS,
+        ),
+        Scenario.ROAD: (
+            ALL, tuple(2**p for p in range(1, 11)), (naive, 2, 0.13), None,
+            413_363, 1, NWK_COLUMNS,
+        ),
+    }
+    assert set(table) == set(Scenario)
+    for scenario, (variants, grid, est, target, n, trials, columns) in table.items():
+        road = {"data_path": "road.txt"} if scenario is Scenario.ROAD else {}
+        cfg = ExperimentConfig.for_scenario(scenario, **road)
+        assert cfg.variants() == variants, scenario
+        assert cfg.m_grid == grid, scenario
+        e = cfg.estimator
+        assert (e.family, e.d) == est[:2], scenario
+        assert e.constant_c == pytest.approx(est[2]), scenario
+        resolved = cfg.resolved_target()
+        assert (resolved and resolved.kind) == target, scenario
+        assert (cfg.n, cfg.trials) == (n, trials), scenario
+        assert cfg.columns() == columns, scenario
     # the default grid stops at n; an explicit one is checked at run time
     assert ExperimentConfig.for_scenario(Scenario.SIM2, n=2000).m_grid == tuple(
         2**p for p in range(3, 11)
     )
-    cfg = ExperimentConfig.for_scenario(Scenario.ROAD, data_path="x")
-    assert cfg.m_grid == tuple(2**p for p in range(1, 11))
-    assert cfg.estimator.constant_c == pytest.approx(0.13)
-    assert cfg.estimator.d == 2
 
 
 def test_sim2_target_resolution():
