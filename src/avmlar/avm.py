@@ -29,7 +29,6 @@ from scipy.spatial.distance import cdist
 from .core import Dataset, EstimatorConfig, EstimatorFamily
 from .kernels import KernelKind, kernel_profile
 from .partition import (
-    MeshNormReport,
     PartitionedDataset,
     default_candidates,
     mesh_norm_report,
@@ -74,19 +73,18 @@ def knn_k_rule(N: int, m: int, r: float, d: int, c: float) -> KnnRule:
     return KnnRule(k, False)
 
 
-def data_dependent_bandwidth(
-    mesh: MeshNormReport, m: int, r: float, d: int
-) -> float:
-    """Common bandwidth from block covering radii.
+def data_dependent_bandwidth(radii: np.ndarray, r: float, d: int) -> float:
+    """Common bandwidth from the covering radii of the ``m = len(radii)`` blocks.
 
     Returns ``max(m^(-1/(2r+d)) * H^(d/(2r+d)), H)`` with ``H`` the largest
     block covering radius, so the result dominates every block's radius.
     Raises when all radii are zero (the rule degenerates to a zero
     bandwidth).
     """
+    m = len(radii)
     if m < 1 or r <= 0 or d < 1:
         raise ValueError("data_dependent_bandwidth arguments must be positive")
-    h_max = max(mesh.per_block)
+    h_max = float(np.max(radii))
     if h_max <= 0.0:
         raise ValueError("all block covering radii are zero; no usable bandwidth")
     exponent = 1.0 / (2.0 * r + d)
@@ -162,22 +160,25 @@ def fit_avm(
     ``h`` is for NWK and ``k`` for k-NN; passing the other one raises. When
     omitted they come from the parameter rules at the full sample size
     ``N``, a rule ``k`` being clamped to the smallest block; an explicit
-    ``k`` above it raises. For A2 the covering radii are computed over
+    ``k`` above it raises. For NWK A2 the covering radii are computed over
     ``candidates`` (default: ``default_candidates(dataset)``) to set the
-    common bandwidth.
+    common bandwidth; no other model takes ``candidates``.
     """
     knn = config.family is EstimatorFamily.KNN
+    nwk_a2 = variant is Variant.A2_DATA_DEPENDENT and not knn
     if (h if knn else k) is not None:
         raise ValueError("h= is for NWK estimators and k= for k-NN only")
+    if candidates is not None and not nwk_a2:
+        raise ValueError("candidates= is for NWK A2 models only")
     part = random_partition(dataset, m, seed)
     h_or_k = k if knn else h
     if h_or_k is None:
         h_or_k = _rule_h_or_k(config, dataset.n, m, part.min_block_size)
     tilde_h = None
-    if variant is Variant.A2_DATA_DEPENDENT and not knn:
+    if nwk_a2:
         cand = candidates if candidates is not None else default_candidates(dataset)
-        mesh = mesh_norm_report(part, cand)
-        tilde_h = data_dependent_bandwidth(mesh, m, config.r, config.d)
+        radii = mesh_norm_report(part, cand)
+        tilde_h = data_dependent_bandwidth(radii, config.r, config.d)
     return AvmModel(part, config, variant, float(h_or_k), tilde_h)
 
 

@@ -106,11 +106,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.t < 1:
+            raise ValueError(f"test size t must be >= 1, got {self.t}")
+        cap = self.mesh_candidate_cap
+        if cap is not None and cap < 1:
+            raise ValueError(f"mesh_candidate_cap must be >= 1, got {cap}")
         grid = tuple(int(m) for m in self.m_grid)
         if not grid:
             raise ValueError("m_grid must be nonempty")
         if any(m < 1 for m in grid):
             raise ValueError("every m must be positive")
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"m_grid repeats a value: {grid}")
         object.__setattr__(self, "m_grid", grid)
         dims = _SCENARIOS[self.scenario].targets
         if self.estimator.d not in dims:
@@ -182,12 +189,6 @@ def _mix_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(tag)]).generate_state(1)[0])
 
 
-def _one_block_partition(part: PartitionedDataset, j: int) -> PartitionedDataset:
-    return PartitionedDataset(
-        (part.blocks[j],), (part.indices[j],), part.seed, part.parent_size
-    )
-
-
 def _single_block_mse(
     part: PartitionedDataset, test: Dataset, estimator: EstimatorConfig
 ) -> float:
@@ -225,29 +226,35 @@ def compute_ge_le_ae(
     ``seed`` is the trial seed; the partition seed is derived from
     (seed, m) and the single-machine GE from (seed, 1), so GE is constant
     across ``m`` within a trial and coincides bitwise with AE-A1 at m=1.
+    ``candidates`` sets the covering-radius candidates of kernel
+    estimators; k-NN computes no covering radii and rejects them.
     """
     if m > train.n:
         raise ValueError(f"m={m} exceeds training size {train.n}")
+    knn = estimator.family is EstimatorFamily.KNN
+    if knn and candidates is not None:
+        raise ValueError("candidates= is for kernel estimators only")
     row: dict[str, float | int | None] = {"m": int(m)}
     if ge is None:
         ge = _single_machine_mse(train, test, estimator, _mix_seed(seed, 1))
     row["ge"] = ge
 
     part = random_partition(train, m, _mix_seed(seed, m))
-    row["le"] = _single_block_mse(_one_block_partition(part, 0), test, estimator)
+    first = PartitionedDataset((part.blocks[0],), (part.indices[0],))
+    row["le"] = _single_block_mse(first, test, estimator)
 
     h_or_k = _rule_h_or_k(estimator, train.n, m, part.min_block_size)
-    mesh = None
-    if estimator.family is not EstimatorFamily.KNN:
+    radii = None
+    if not knn:
         cand = candidates if candidates is not None else default_candidates(train)
-        mesh = mesh_norm_report(part, cand)
-        row["inactive_blocks"] = int(sum(v > h_or_k for v in mesh.per_block))
+        radii = mesh_norm_report(part, cand)
+        row["inactive_blocks"] = int(np.count_nonzero(radii > h_or_k))
     # A1 and A3 share the block matrix at h; A2 needs its own at tilde_h
     block_matrices = {}
     for variant in variants:
         bandwidth = h_or_k
-        if variant is Variant.A2_DATA_DEPENDENT and mesh is not None:
-            bandwidth = data_dependent_bandwidth(mesh, m, estimator.r, estimator.d)
+        if variant is Variant.A2_DATA_DEPENDENT and radii is not None:
+            bandwidth = data_dependent_bandwidth(radii, estimator.r, estimator.d)
         if bandwidth not in block_matrices:
             block_matrices[bandwidth] = block_estimates(
                 part, estimator.family, bandwidth, test.x
@@ -352,7 +359,6 @@ class SummaryTable:
 
     columns: tuple[str, ...]
     rows: tuple[Mapping[str, float | int | None], ...]
-    trials: int
 
 
 def summarize(result: ExperimentResult) -> SummaryTable:
@@ -384,7 +390,7 @@ def summarize(result: ExperimentResult) -> SummaryTable:
                 # population sd: divide by the trial count
                 row[f"{c}_sd"] = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
         summary_rows.append(row)
-    return SummaryTable(tuple(out_cols), tuple(summary_rows), result.config.trials)
+    return SummaryTable(tuple(out_cols), tuple(summary_rows))
 
 
 def _config_json(config: ExperimentConfig) -> str:

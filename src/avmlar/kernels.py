@@ -30,16 +30,3 @@ def kernel_profile(kind: KernelKind, norms: np.ndarray) -> np.ndarray:
         return np.exp(-(s**2))
     raise ValueError(f"unknown kernel kind: {kind!r}")
 
-
-def kernel_eval(kind: KernelKind, u: np.ndarray) -> float:
-    """Kernel value at the vector ``u``.
-
-    Returns ``1`` iff ``||u|| <= 1`` for the naive kernel and
-    ``exp(-||u||^2)`` for the Gaussian one.
-    """
-    vec = np.asarray(u, dtype=np.float64).reshape(-1)
-    if vec.size < 1:
-        raise ValueError("kernel input must have dimension >= 1")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("kernel input must be finite")
-    return float(kernel_profile(kind, np.linalg.norm(vec)))

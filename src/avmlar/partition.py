@@ -19,7 +19,7 @@ from .core import Dataset
 
 @dataclass(frozen=True)
 class PartitionedDataset:
-    """Disjoint blocks of a parent dataset plus the partition seed.
+    """Disjoint blocks of a parent dataset.
 
     ``indices[j]`` holds block ``j``'s row numbers in the parent; ``blocks``
     are the corresponding datasets (parent domain bounds retained).
@@ -27,8 +27,6 @@ class PartitionedDataset:
 
     blocks: tuple[Dataset, ...]
     indices: tuple[np.ndarray, ...]
-    seed: int
-    parent_size: int
 
     @property
     def m(self) -> int:
@@ -37,18 +35,6 @@ class PartitionedDataset:
     @property
     def min_block_size(self) -> int:
         return min(b.n for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class MeshNormReport:
-    """Per-block covering radii over a shared candidate set."""
-
-    per_block: tuple[float, ...]
-    candidate_count: int
-
-    @property
-    def max(self) -> float:
-        return max(self.per_block)
 
 
 def random_partition(dataset: Dataset, m: int, seed: int) -> PartitionedDataset:
@@ -70,7 +56,7 @@ def random_partition(dataset: Dataset, m: int, seed: int) -> PartitionedDataset:
     bounds = np.cumsum([0] + sizes)
     indices = tuple(perm[bounds[j] : bounds[j + 1]] for j in range(m))
     blocks = tuple(dataset.subset(idx) for idx in indices)
-    return PartitionedDataset(blocks, indices, int(seed), n_total)
+    return PartitionedDataset(blocks, indices)
 
 
 def mesh_norm(block: Dataset, candidates: np.ndarray) -> float:
@@ -115,8 +101,7 @@ def default_candidates(dataset: Dataset) -> np.ndarray:
 
 def mesh_norm_report(
     partition: PartitionedDataset, candidates: np.ndarray
-) -> MeshNormReport:
-    """Covering radius of every block over one shared candidate set."""
+) -> np.ndarray:
+    """Covering radius of every block over one shared candidate set, shape (m,)."""
     cand = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    per_block = tuple(mesh_norm(block, cand) for block in partition.blocks)
-    return MeshNormReport(per_block, cand.shape[0])
+    return np.array([mesh_norm(block, cand) for block in partition.blocks])

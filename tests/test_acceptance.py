@@ -13,11 +13,13 @@ import pytest
 
 import oracles
 from avmlar import (
+    AvmModel,
     Dataset,
     EstimatorConfig,
     EstimatorFamily,
     ExperimentConfig,
     KernelKind,
+    PartitionedDataset,
     Scenario,
     TargetKind,
     TargetModel,
@@ -26,7 +28,6 @@ from avmlar import (
     fit_avm,
     generate_dataset,
     generate_test_set,
-    knn_predict,
     nwk_weights,
     predict_batch,
     run_experiment,
@@ -152,7 +153,9 @@ def test_criterion_2_collapse_identities():
 
     rng = np.random.default_rng(10)
     blk = Dataset(rng.random((30, 1)), rng.normal(size=30))
-    knn_gap = abs(knn_predict(blk, 30, [0.5]) - blk.y.mean())
+    one_block = PartitionedDataset((blk,), (np.arange(blk.n),))
+    knn = AvmModel(one_block, KNN_SWEEP, Variant.A1_PLAIN, 30)
+    knn_gap = abs(predict_batch(knn, [[0.5]]).values[0] - blk.y.mean())
 
     ok = ge_gap <= 1e-12 and le_gap <= 1e-12 and all_active and a3_gap <= 1e-12 and knn_gap <= 1e-12
     report(

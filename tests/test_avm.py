@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from avmlar import (
@@ -7,8 +11,7 @@ from avmlar import (
     Dataset,
     EstimatorConfig,
     EstimatorFamily,
-    KernelKind,
-    MeshNormReport,
+    PartitionedDataset,
     Variant,
     data_dependent_bandwidth,
     default_candidates,
@@ -16,7 +19,6 @@ from avmlar import (
     knn_k_rule,
     mesh_norm_report,
     nwk_bandwidth_rule,
-    nwk_predict,
     predict_batch,
     random_partition,
 )
@@ -35,11 +37,12 @@ def two_block_partition(xs, ys, first_indices):
     ds = Dataset(np.asarray(xs, dtype=float)[:, None], ys, np.array([[0.0, 1.0]]))
     idx_a = np.array(first_indices)
     idx_b = np.array([i for i in range(len(xs)) if i not in first_indices])
-    from avmlar.partition import PartitionedDataset
+    return PartitionedDataset((ds.subset(idx_a), ds.subset(idx_b)), (idx_a, idx_b))
 
-    return PartitionedDataset(
-        (ds.subset(idx_a), ds.subset(idx_b)), (idx_a, idx_b), 0, len(xs)
-    )
+
+def oracle_blocks(model):
+    """The model's blocks as the (xs, ys) lists that ``oracles`` takes."""
+    return [([tuple(r) for r in b.x], list(b.y)) for b in model.partition.blocks]
 
 
 # --- parameter rules ---------------------------------------------------
@@ -60,28 +63,31 @@ def test_knn_rule_values():
 
 
 def test_data_dependent_bandwidth_values():
+    # m is the number of radii: 4 blocks, the largest radius 0.1
     assert data_dependent_bandwidth(
-        MeshNormReport((0.1, 0.02), 5), 4, 1, 1
+        np.array([0.1, 0.02, 0.05, 0.0]), 1, 1
     ) == pytest.approx(0.29240, abs=1e-4)
-    assert data_dependent_bandwidth(
-        MeshNormReport((0.25,), 5), 1, 1, 1
-    ) == pytest.approx(0.62996, abs=1e-4)
+    assert data_dependent_bandwidth(np.array([0.25]), 1, 1) == pytest.approx(
+        0.62996, abs=1e-4
+    )
 
 
 def test_data_dependent_bandwidth_dominates_radii():
     rng = np.random.default_rng(1)
     for _ in range(50):
         m = int(rng.integers(1, 30))
-        radii = tuple(rng.uniform(0.01, 0.9, size=m))
+        radii = rng.uniform(0.01, 0.9, size=m)
         r = float(rng.uniform(0.5, 3.0))
         d = int(rng.integers(1, 6))
-        out = data_dependent_bandwidth(MeshNormReport(radii, 5), m, r, d)
-        assert out >= max(radii)
+        out = data_dependent_bandwidth(radii, r, d)
+        assert out >= radii.max()
 
 
 def test_data_dependent_bandwidth_all_zero_errors():
     with pytest.raises(ValueError):
-        data_dependent_bandwidth(MeshNormReport((0.0, 0.0), 5), 2, 1, 1)
+        data_dependent_bandwidth(np.zeros(2), 1, 1)
+    with pytest.raises(ValueError):
+        data_dependent_bandwidth(np.zeros(0), 1, 1)  # no blocks
 
 
 # --- variant predictions ------------------------------------------------
@@ -91,7 +97,8 @@ def test_m1_collapses_to_single_block_lar():
     ds = uniform_dataset(30, seed=2)
     model = fit_avm(ds, NWK, 1, 7, Variant.A1_PLAIN, h=0.2)
     q = [0.4]
-    expected = nwk_predict(model.partition.blocks[0], KernelKind.NAIVE, 0.2, q)
+    [(xs, ys)] = oracle_blocks(model)
+    expected = oracles.nwk_estimate(xs, ys, "naive", 0.2, q)
     assert predict_batch(model, [q]).values[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -155,11 +162,12 @@ def test_a3_never_averages_structural_zero():
 def test_a2_uses_common_bandwidth():
     ds = uniform_dataset(50, seed=5)
     model = fit_avm(ds, NWK, 5, 9, Variant.A2_DATA_DEPENDENT)
-    mesh = mesh_norm_report(model.partition, default_candidates(ds))
+    radii = mesh_norm_report(model.partition, default_candidates(ds))
+    assert radii.shape == (5,)
     assert model.tilde_h == pytest.approx(
-        data_dependent_bandwidth(mesh, 5, NWK.r, NWK.d)
+        data_dependent_bandwidth(radii, NWK.r, NWK.d)
     )
-    assert model.tilde_h >= mesh.max
+    assert model.tilde_h >= radii.max()
     # common bandwidth covers the domain: no degenerate blocks at covered queries
     batch = predict_batch(model, np.linspace(0, 1, 50)[:, None])
     assert np.all(batch.degenerate_blocks == 0)
@@ -169,9 +177,8 @@ def test_a2_m1_equals_single_lar_with_tilde():
     ds = uniform_dataset(40, seed=6)
     model = fit_avm(ds, NWK, 1, 7, Variant.A2_DATA_DEPENDENT)
     q = [0.3]
-    expected = nwk_predict(
-        model.partition.blocks[0], KernelKind.NAIVE, model.tilde_h, q
-    )
+    [(xs, ys)] = oracle_blocks(model)
+    expected = oracles.nwk_estimate(xs, ys, "naive", model.tilde_h, q)
     assert predict_batch(model, [q]).values[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -256,6 +263,17 @@ def test_model_validation():
         fit_avm(ds, knn_cfg, 4, 0, h=0.5)  # h is for NWK only
     with pytest.raises(ValueError):
         fit_avm(ds, NWK, 2, 0, k=3)  # k is for k-NN only
+    # only NWK A2 computes covering radii, so only it takes candidates
+    cand = default_candidates(ds)
+    for cfg, variant in (
+        (NWK, Variant.A1_PLAIN),
+        (NWK, Variant.A3_QUALIFIED),
+        (knn_cfg, Variant.A2_DATA_DEPENDENT),
+    ):
+        with pytest.raises(ValueError, match="candidates"):
+            fit_avm(ds, cfg, 2, 0, variant, candidates=cand)
+    a2 = fit_avm(ds, NWK, 2, 0, Variant.A2_DATA_DEPENDENT, candidates=cand)
+    assert a2.tilde_h == fit_avm(ds, NWK, 2, 0, Variant.A2_DATA_DEPENDENT).tilde_h
     model = fit_avm(ds, NWK, 2, 0, Variant.A1_PLAIN, h=0.2)
     with pytest.raises(ValueError):
         predict_batch(model, np.zeros((3, 2)))  # dimension mismatch
@@ -264,45 +282,72 @@ def test_model_validation():
             predict_batch(model, [[0.5], [bad]])  # non-finite query
 
 
-def test_variants_match_brute_force_oracle():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        d = int(rng.integers(1, 3))
-        n = int(rng.integers(6, 30))
-        m = int(rng.integers(1, 4))
-        ds = Dataset(
-            rng.random((n, d)), rng.normal(size=n), np.tile([0.0, 1.0], (d, 1))
-        )
-        h = float(rng.uniform(0.05, 0.5))
-        q = rng.random(d)
-        a1 = fit_avm(ds, EstimatorConfig(EstimatorFamily.NWK_NAIVE, 1.0, d), m, 3, h=h)
-        blocks = [
-            ([tuple(r) for r in b.x], list(b.y)) for b in a1.partition.blocks
-        ]
-        assert predict_batch(a1, [q]).values[0] == pytest.approx(
-            oracles.avm_a1_nwk(blocks, "naive", h, q), abs=1e-12
-        )
-        a3 = AvmModel(a1.partition, a1.config, Variant.A3_QUALIFIED, h)
-        assert predict_batch(a3, [q]).values[0] == pytest.approx(
-            oracles.avm_a3_nwk(blocks, "naive", h, q), abs=1e-12
-        )
-    # duplicate inputs tie k-NN distances, and ties go to the lower index
-    for _ in range(25):
-        d = int(rng.integers(1, 3))
-        n = int(rng.integers(6, 30))
-        m = int(rng.integers(1, 4))
-        lattice = rng.integers(0, 3, size=(n, d)) / 2
-        ds = Dataset(lattice, rng.normal(size=n), np.tile([0.0, 1.0], (d, 1)))
-        k = int(rng.integers(1, n // m + 1))
-        cfg = EstimatorConfig(EstimatorFamily.KNN, 1.0, d)
-        model = fit_avm(ds, cfg, m, 3, k=k)
-        blocks = [
-            ([tuple(r) for r in b.x], list(b.y)) for b in model.partition.blocks
-        ]
-        queries = rng.integers(0, 5, size=(8, d)) / 4
-        np.testing.assert_allclose(
-            predict_batch(model, queries).values,
-            [oracles.avm_knn(blocks, k, q) for q in queries],
-            rtol=0,
-            atol=1e-12,
-        )
+# dyadic lattice (multiples of 1/8): distances are exact, so distance ties,
+# duplicate inputs and |x - q| = h occur exactly; a coordinate of 40 puts a
+# query so far out that every Gaussian weight underflows to 0
+_INPUT = [i / 8 for i in range(9)]
+_QUERY = [i / 8 for i in range(-2, 11)] + [40.0]
+
+
+@st.composite
+def lattice_problems(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, min(4, n)))
+
+    def points(coords, **size):
+        return st.lists(st.tuples(*[st.sampled_from(coords)] * d), **size)
+
+    x = draw(points(_INPUT, min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    queries = draw(points(_QUERY, min_size=1, max_size=6))
+    h = draw(st.integers(1, 8)) / 8
+    k = draw(st.integers(1, n // m))
+    seed = draw(st.integers(0, 2**16))
+    return Dataset(x, np.array(y) / 100), np.array(queries), m, h, k, seed
+
+
+@settings(max_examples=200)
+@given(lattice_problems())
+def test_variants_match_brute_force_oracle(problem):
+    ds, queries, m, h, k, seed = problem
+    tol = 1e-12 * np.abs(ds.y).max()
+    # half-step candidates: every covering radius is at least 1/16
+    cand = np.array(list(itertools.product(np.arange(0.5, 9) / 8, repeat=ds.d)))
+    oracle = {
+        Variant.A1_PLAIN: oracles.avm_a1_nwk,
+        Variant.A2_DATA_DEPENDENT: oracles.avm_a2_nwk,
+        Variant.A3_QUALIFIED: oracles.avm_a3_nwk,
+    }
+    for family, kind in (
+        (EstimatorFamily.NWK_NAIVE, "naive"),
+        (EstimatorFamily.NWK_GAUSSIAN, "gaussian"),
+    ):
+        cfg = EstimatorConfig(family, 1.0, ds.d)
+        for variant, fn in oracle.items():
+            a2 = variant is Variant.A2_DATA_DEPENDENT
+            model = fit_avm(
+                ds, cfg, m, seed, variant, h=h, candidates=cand if a2 else None
+            )
+            blocks = oracle_blocks(model)
+            bandwidth = h
+            if a2:
+                radii = [oracles.mesh_norm(xs, cand) for xs, _ in blocks]
+                tilde = oracles.tilde_bandwidth(radii, m, cfg.r, cfg.d)
+                assert model.tilde_h == pytest.approx(tilde, rel=1e-12, abs=0)
+                bandwidth = model.tilde_h
+            np.testing.assert_allclose(
+                predict_batch(model, queries).values,
+                [fn(blocks, kind, bandwidth, q) for q in queries],
+                rtol=0,
+                atol=tol,
+            )
+    # k-NN ties go to the lower index within each block
+    model = fit_avm(ds, EstimatorConfig(EstimatorFamily.KNN, 1.0, ds.d), m, seed, k=k)
+    blocks = oracle_blocks(model)
+    np.testing.assert_allclose(
+        predict_batch(model, queries).values,
+        [oracles.avm_knn(blocks, k, q) for q in queries],
+        rtol=0,
+        atol=tol,
+    )

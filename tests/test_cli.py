@@ -204,6 +204,16 @@ def test_experiment_road_missing_file_fails(tmp_path):
     assert code == 1
 
 
+def test_experiment_rejects_repeated_m(tmp_path, capsys):
+    code = run_cli(
+        "experiment", "--scenario", "sim1-nwk", "--n", 50, "--trials", 1,
+        "--m-grid", "4,4", "--out", tmp_path / "r.csv",
+    )
+    assert code == 1
+    assert "repeats" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_bad_arguments_exit_nonzero(tmp_path):
     code = run_cli(
         "predict", "--blocks", 5, "--train", tmp_path / "missing.csv",

@@ -42,6 +42,14 @@ def test_m1_collapse_identities(estimator):
     assert row["le"] == row["ge"]
 
 
+def test_knn_rejects_covering_radius_candidates():
+    train, test = small_data(n=60)
+    knn = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
+    cand = np.linspace(0.0, 1.0, 11)[:, None]
+    with pytest.raises(ValueError, match="candidates"):
+        compute_ge_le_ae(train, test, knn, 2, seed=1, candidates=cand)
+
+
 def test_ge_constant_across_m():
     train, test = small_data(seed=2)
     rows = [
@@ -80,8 +88,8 @@ def test_row_matches_oracle_mse():
     part = random_partition(train, m, _mix_seed(9, m))
     blocks = [([tuple(r) for r in b.x], list(b.y)) for b in part.blocks]
     h = nwk_bandwidth_rule(train.n, NWK.r, NWK.d, NWK.constant_c)
-    mesh = mesh_norm_report(part, default_candidates(train))
-    tilde = data_dependent_bandwidth(mesh, m, NWK.r, NWK.d)
+    radii = mesh_norm_report(part, default_candidates(train))
+    tilde = data_dependent_bandwidth(radii, NWK.r, NWK.d)
     for col, fn, bw in (
         ("ae_a1", oracles.avm_a1_nwk, h),
         ("ae_a2", oracles.avm_a2_nwk, tilde),
@@ -90,7 +98,7 @@ def test_row_matches_oracle_mse():
         preds = [fn(blocks, "naive", bw, q) for q in test.x]
         expected = float(np.mean((np.array(preds) - test.y) ** 2))
         assert row[col] == pytest.approx(expected, abs=1e-12)
-    assert row["inactive_blocks"] == sum(v > h for v in mesh.per_block)
+    assert row["inactive_blocks"] == sum(v > h for v in radii)
 
 
 def test_run_experiment_row_structure():
@@ -226,6 +234,12 @@ def test_config_validation():
         ExperimentConfig.for_scenario(Scenario.SIM1_NWK, m_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig.for_scenario(Scenario.ROAD)  # missing data_path
+    with pytest.raises(ValueError, match="test size"):
+        ExperimentConfig.for_scenario(Scenario.SIM1_NWK, t=0)
+    with pytest.raises(ValueError, match="mesh_candidate_cap"):
+        ExperimentConfig.for_scenario(Scenario.SIM1_NWK, mesh_candidate_cap=0)
+    with pytest.raises(ValueError, match="repeats"):
+        ExperimentConfig.for_scenario(Scenario.SIM1_NWK, m_grid=(4, 4))
     # the estimator dimension must be one the scenario has data for
     d5 = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=5)
     with pytest.raises(ValueError, match="dimension"):

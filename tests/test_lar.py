@@ -3,13 +3,20 @@ import pytest
 
 import oracles
 from avmlar import (
+    AvmModel,
     Dataset,
+    EstimatorConfig,
+    EstimatorFamily,
     KernelKind,
-    knn_effective_radius,
-    knn_predict,
-    nwk_predict,
+    PartitionedDataset,
+    Variant,
     nwk_weights,
+    predict_batch,
 )
+
+NAIVE = EstimatorFamily.NWK_NAIVE
+GAUSSIAN = EstimatorFamily.NWK_GAUSSIAN
+KNN = EstimatorFamily.KNN
 
 
 def block_1d(xs, ys=None):
@@ -17,6 +24,13 @@ def block_1d(xs, ys=None):
     if ys is None:
         ys = np.zeros(len(xs))
     return Dataset(xs, ys)
+
+
+def one_block(blk, family, h_or_k):
+    """The m=1 model of ``blk``: a single-block estimate is ``predict_batch`` on it."""
+    part = PartitionedDataset((blk,), (np.arange(blk.n),))
+    config = EstimatorConfig(family, r=1.0, d=blk.d)
+    return AvmModel(part, config, Variant.A1_PLAIN, h_or_k)
 
 
 def test_nwk_weights_single_in_range_sample():
@@ -39,52 +53,55 @@ def test_nwk_weights_degenerate_all_zero():
 
 def test_nwk_predict_weighted_mean():
     blk = block_1d([0.0, 0.3, 0.9], [1.0, 3.0, 10.0])
-    assert nwk_predict(blk, KernelKind.NAIVE, 0.5, [0.1]) == pytest.approx(2.0)
+    batch = predict_batch(one_block(blk, NAIVE, 0.5), [[0.1]])
+    assert batch.values[0] == pytest.approx(2.0)
 
 
 def test_nwk_predict_single_sample_full_weight():
     blk = block_1d([0.0], [2.0])
-    for kind in KernelKind:
-        assert nwk_predict(blk, kind, 0.5, [0.1]) == pytest.approx(2.0)
+    for family in (NAIVE, GAUSSIAN):
+        batch = predict_batch(one_block(blk, family, 0.5), [[0.1]])
+        assert batch.values[0] == pytest.approx(2.0)
 
 
 def test_nwk_predict_empty_neighborhood_is_zero():
     blk = block_1d([0.0], [2.0])
-    assert nwk_predict(blk, KernelKind.NAIVE, 0.5, [5.0]) == 0.0
+    batch = predict_batch(one_block(blk, NAIVE, 0.5), [[5.0]])
+    assert batch.values[0] == 0.0
+    assert batch.degenerate_blocks[0] == 1
 
 
 def test_knn_predict_nearest_two():
     blk = block_1d([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    assert knn_predict(blk, 2, [0.0]) == pytest.approx(0.5)
+    batch = predict_batch(one_block(blk, KNN, 2), [[0.0]])
+    assert batch.values[0] == pytest.approx(0.5)
 
 
 def test_knn_full_average():
     rng = np.random.default_rng(0)
     blk = block_1d(rng.random(6), rng.normal(size=6))
-    assert knn_predict(blk, 6, [0.3]) == pytest.approx(blk.y.mean())
+    batch = predict_batch(one_block(blk, KNN, 6), [[0.3]])
+    assert batch.values[0] == pytest.approx(blk.y.mean())
 
 
 def test_knn_tie_resolved_to_lower_index():
     blk = block_1d([-1.0, 1.0], [5.0, 7.0])
-    assert knn_predict(blk, 1, [0.0]) == 5.0
-
-
-def test_knn_effective_radius_examples():
-    assert knn_effective_radius(block_1d([0.0, 1.0, 2.0]), 2, [0.0]) == 1.0
-    assert knn_effective_radius(block_1d([0.0, 1.0]), 1, [0.0]) == 0.0
-    assert knn_effective_radius(block_1d([0.2, 0.8]), 2, [0.5]) == pytest.approx(0.3)
+    assert predict_batch(one_block(blk, KNN, 1), [[0.0]]).values[0] == 5.0
 
 
 def test_errors_on_bad_arguments():
     blk = block_1d([0.0, 1.0])
     with pytest.raises(ValueError):
         nwk_weights(blk, KernelKind.NAIVE, -0.1, [0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            nwk_weights(blk, KernelKind.GAUSSIAN, 0.5, [bad])
     with pytest.raises(ValueError):
-        nwk_predict(blk, KernelKind.NAIVE, 0.5, [0.0, 0.0])
+        predict_batch(one_block(blk, NAIVE, 0.5), [[0.0, 0.0]])
     with pytest.raises(ValueError):
-        knn_predict(blk, 0, [0.0])
+        one_block(blk, KNN, 0)
     with pytest.raises(ValueError):
-        knn_predict(blk, 3, [0.0])
+        one_block(blk, KNN, 3)
 
 
 def test_weights_sum_to_one_unless_degenerate():
@@ -110,8 +127,9 @@ def test_predictions_within_response_range():
         blk = Dataset(rng.random((n, 2)), rng.normal(size=n))
         q = rng.random(2)
         k = int(rng.integers(1, n + 1))
-        assert blk.y.min() - 1e-12 <= knn_predict(blk, k, q) <= blk.y.max() + 1e-12
-        p = nwk_predict(blk, KernelKind.GAUSSIAN, 0.3, q)
+        p = predict_batch(one_block(blk, KNN, k), [q]).values[0]
+        assert blk.y.min() - 1e-12 <= p <= blk.y.max() + 1e-12
+        p = predict_batch(one_block(blk, GAUSSIAN, 0.3), [q]).values[0]
         wv = nwk_weights(blk, KernelKind.GAUSSIAN, 0.3, q)
         if not wv.degenerate:
             assert blk.y.min() - 1e-12 <= p <= blk.y.max() + 1e-12
@@ -120,9 +138,8 @@ def test_predictions_within_response_range():
 def test_nwk_big_bandwidth_equals_block_mean():
     rng = np.random.default_rng(9)
     blk = Dataset(rng.random((12, 1)), rng.normal(size=12))
-    assert nwk_predict(blk, KernelKind.NAIVE, 10.0, [0.5]) == pytest.approx(
-        blk.y.mean()
-    )
+    batch = predict_batch(one_block(blk, NAIVE, 10.0), [[0.5]])
+    assert batch.values[0] == pytest.approx(blk.y.mean())
 
 
 def test_permutation_invariance():
@@ -135,21 +152,23 @@ def test_permutation_invariance():
         perm = rng.permutation(n)
         a = Dataset(x, y)
         b = Dataset(x[perm], y[perm])
-        assert nwk_predict(a, KernelKind.GAUSSIAN, 0.2, q) == pytest.approx(
-            nwk_predict(b, KernelKind.GAUSSIAN, 0.2, q), abs=1e-12
-        )
+        pa = predict_batch(one_block(a, GAUSSIAN, 0.2), [q]).values[0]
+        pb = predict_batch(one_block(b, GAUSSIAN, 0.2), [q]).values[0]
+        assert pa == pytest.approx(pb, abs=1e-12)
         # distances are almost surely distinct for continuous draws
         k = int(rng.integers(1, n + 1))
-        assert knn_predict(a, k, q) == pytest.approx(knn_predict(b, k, q), abs=1e-12)
+        pa = predict_batch(one_block(a, KNN, k), [q]).values[0]
+        pb = predict_batch(one_block(b, KNN, k), [q]).values[0]
+        assert pa == pytest.approx(pb, abs=1e-12)
 
 
 def test_constant_responses_reproduced():
     rng = np.random.default_rng(11)
     blk = Dataset(rng.random((9, 1)), np.full(9, 3.25))
     q = [0.4]
-    assert nwk_predict(blk, KernelKind.NAIVE, 0.3, q) == pytest.approx(3.25)
-    assert nwk_predict(blk, KernelKind.GAUSSIAN, 0.3, q) == pytest.approx(3.25)
-    assert knn_predict(blk, 4, q) == pytest.approx(3.25)
+    for family, h_or_k in ((NAIVE, 0.3), (GAUSSIAN, 0.3), (KNN, 4)):
+        batch = predict_batch(one_block(blk, family, h_or_k), [q])
+        assert batch.values[0] == pytest.approx(3.25)
 
 
 def test_matches_brute_force_oracle():
@@ -163,16 +182,13 @@ def test_matches_brute_force_oracle():
         q = rng.random(d)
         h = float(rng.uniform(0.05, 0.8))
         xs, ys = [tuple(r) for r in x], list(y)
-        assert nwk_predict(blk, KernelKind.NAIVE, h, q) == pytest.approx(
-            oracles.nwk_estimate(xs, ys, "naive", h, q), abs=1e-12
-        )
-        assert nwk_predict(blk, KernelKind.GAUSSIAN, h, q) == pytest.approx(
-            oracles.nwk_estimate(xs, ys, "gaussian", h, q), abs=1e-12
-        )
+        for family, kind in ((NAIVE, "naive"), (GAUSSIAN, "gaussian")):
+            batch = predict_batch(one_block(blk, family, h), [q])
+            assert batch.values[0] == pytest.approx(
+                oracles.nwk_estimate(xs, ys, kind, h, q), abs=1e-12
+            )
         k = int(rng.integers(1, n + 1))
-        assert knn_predict(blk, k, q) == pytest.approx(
+        batch = predict_batch(one_block(blk, KNN, k), [q])
+        assert batch.values[0] == pytest.approx(
             oracles.knn_estimate(xs, ys, k, q), abs=1e-12
-        )
-        assert knn_effective_radius(blk, k, q) == pytest.approx(
-            oracles.knn_radius(xs, k, q), abs=1e-12
         )

@@ -166,11 +166,10 @@ def test_mesh_norm_report_collects_blocks():
     ds = uniform_dataset(40, seed=11)
     part = random_partition(ds, 4, 2)
     cand = default_candidates(ds)
-    report = mesh_norm_report(part, cand)
-    assert len(report.per_block) == 4
-    assert report.candidate_count == 1001
-    assert all(v >= 0 for v in report.per_block)
-    assert report.max == max(report.per_block)
+    radii = mesh_norm_report(part, cand)
+    assert radii.shape == (4,) and radii.dtype == np.float64
+    assert np.all(radii >= 0)
+    assert radii.tolist() == [mesh_norm(b, cand) for b in part.blocks]
 
 
 def test_covering_probability_decreases_with_block_size():

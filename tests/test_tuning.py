@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from avmlar import (
     CvConfig,
     Dataset,
@@ -17,8 +18,6 @@ from avmlar import (
     nwk_bandwidth_rule,
     random_partition,
 )
-from avmlar.kernels import KernelKind
-from avmlar.lar import knn_predict, nwk_predict
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
 
@@ -69,7 +68,7 @@ def test_rejects_bad_configs():
 
 
 def _exhaustive_fold_scores(ds, config, cv):
-    """Re-score every candidate with the plain per-query estimators."""
+    """Re-score every candidate with the brute-force oracles, one query at a time."""
     folds = random_partition(ds, cv.folds, cv.seed)
     out = np.zeros((len(cv.grid), cv.folds))
     for i in range(cv.folds):
@@ -77,15 +76,16 @@ def _exhaustive_fold_scores(ds, config, cv):
         train_idx = np.concatenate(
             [folds.indices[j] for j in range(cv.folds) if j != i]
         )
-        train = ds.subset(train_idx)
+        xs, ys = [tuple(r) for r in ds.x[train_idx]], list(ds.y[train_idx])
+        n = len(xs)
         for gi, c in enumerate(cv.grid):
             if config.family is EstimatorFamily.KNN:
-                k = min(knn_k_rule(train.n, 1, config.r, config.d, c).k, train.n)
-                preds = [knn_predict(train, k, ds.x[t]) for t in test_idx]
+                k = min(knn_k_rule(n, 1, config.r, config.d, c).k, n)
+                preds = [oracles.knn_estimate(xs, ys, k, ds.x[t]) for t in test_idx]
             else:
-                h = nwk_bandwidth_rule(train.n, config.r, config.d, c)
+                h = nwk_bandwidth_rule(n, config.r, config.d, c)
                 preds = [
-                    nwk_predict(train, KernelKind.NAIVE, h, ds.x[t])
+                    oracles.nwk_estimate(xs, ys, "naive", h, ds.x[t])
                     for t in test_idx
                 ]
             out[gi, i] = mse(preds, ds.y[test_idx])
