@@ -12,9 +12,23 @@ Three ways to combine per-block local estimates at a query point:
 For the k-NN family the localization radius adapts per block, so every
 block is always active and all three variants coincide with A1.
 
-Every prediction path runs through the core below: ``nwk_mean`` and
-``knn_mean`` (home of the k-NN tie rule), ``block_estimates``, ``combine``,
-and ``_rule_h_or_k`` for h and k.
+Every prediction path runs through the core below: ``nwk_mean`` (dense
+NWK), ``_naive_sorted_1d`` (sorted naive NWK at d=1), ``knn_mean`` (home of
+the k-NN tie rule), ``block_estimates``, ``combine``, and ``_rule_h_or_k``
+for h and k.
+
+``block_estimates`` has two paths, chosen by family and input dimension.
+The naive kernel at d=1 takes the sorted path: each block is sorted once
+per call, and a query's kernel window is the run of samples between two
+``searchsorted`` edges, summed with ``np.add.reduceat``; no query x sample
+matrix is built. Every other case (Gaussian, k-NN, d>1) takes the dense
+path over one ``cdist`` matrix per block. Both paths admit a sample when
+``|x - q| <= h`` in float arithmetic. The sorted path places its edges by
+that test (``_lower_edge``), not by ``q - h`` and ``q + h``, which can be
+off by many doubles. For finite positive ``d`` and ``h``, ``fl(d / h) <= 1``
+holds exactly when ``d <= h``, so the naive kernel weight is nonzero
+exactly when the A3 activity test holds: on the sorted path a block is
+active exactly when it is not degenerate.
 """
 
 from __future__ import annotations
@@ -232,6 +246,91 @@ def knn_mean(dist: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return estimates
 
 
+# the doubles ordered as int64: sign-magnitude bits, negative half negated
+_MAGNITUDE = np.int64(2**63 - 1)
+_SIGN = np.int64(-(2**63))
+_ORDINAL_INF = np.int64(0x7FF0000000000000)
+
+
+def _ordinal(x: np.ndarray) -> np.ndarray:
+    """Doubles as int64 in the same order (-0.0 and 0.0 both map to 0)."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
+
+
+def _double(i: np.ndarray) -> np.ndarray:
+    """Inverse of ``_ordinal``."""
+    return np.where(i < 0, -i | _SIGN, i).view(np.float64)
+
+
+def _lower_edge(q: np.ndarray, h: float) -> np.ndarray:
+    """Smallest double ``x`` with ``fl(q - x) <= h``, per entry of ``q``.
+
+    ``fl(q - x)`` falls as ``x`` grows, so the samples with ``q - x <= h``
+    in float arithmetic are exactly those at or above this edge. ``q - h``
+    alone can miss it by many doubles, because ``q - x`` rounds when ``x``
+    is far from ``q``, and a run of duplicate samples can sit in that gap.
+    The edge is bisected over the doubles, ordered as integers, inside a
+    bracket around ``q - h``; where the bracket does not hold the edge, it
+    is widened to the infinities.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # several times the rounding of q - h and of q - x near the edge
+        delta = 2.0**-48 * (np.abs(q) + h)
+        lo = _ordinal(q - h - delta)  # below the edge ...
+        hi = _ordinal(q - h + delta)  # ... and at or above it
+    lo[q - _double(lo) <= h] = -_ORDINAL_INF
+    hi[~(q - _double(hi) <= h)] = _ORDINAL_INF
+    while True:
+        # floor((lo + hi) / 2) without int64 overflow; above lo while hi - lo > 1
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        gap = mid > lo
+        if not gap.any():
+            return _double(hi)
+        inside = q - _double(mid) <= h
+        hi = np.where(gap & inside, mid, hi)
+        lo = np.where(gap & ~inside, mid, lo)
+
+
+def _naive_sorted_1d(
+    partition: PartitionedDataset, h: float, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Naive-kernel block estimates and degenerate flags at 1-d queries ``q``.
+
+    A sample is in a query's window exactly when ``|x - q| <= h``. That is
+    the dense path's kernel test ``cdist / h <= 1``: at d=1 ``cdist`` is
+    ``sqrt((q - x)**2)``, which equals ``|q - x|`` while the square stays in
+    the normal range, and ``fl(d / h) <= 1`` holds exactly when ``d <= h``.
+    Block sums run in sorted-x order.
+    """
+    order = np.argsort(q, kind="stable")
+    # rounding is symmetric: the upper edge at q is the lower edge at -q, negated
+    bounds = _lower_edge(np.concatenate([q[order], -q[order]]), h)
+    lower, upper = bounds[: len(q)], -bounds[len(q) :]
+    sums = np.empty((partition.m, len(q)))
+    counts = np.empty(sums.shape, dtype=np.intp)
+    edges = np.empty(2 * len(q), dtype=np.intp)
+    left, right = edges[0::2], edges[1::2]
+    for j, block in enumerate(partition.blocks):
+        by_x = np.argsort(block.x[:, 0], kind="stable")
+        # the 0 sentinel makes right == n a valid reduceat index
+        ys = np.append(block.y[by_x], 0.0)
+        xs = block.x[by_x, 0]
+        left[:] = np.searchsorted(xs, lower, side="left")
+        right[:] = np.searchsorted(xs, upper, side="right")
+        # an empty window (left == right) sums one element; it is masked below
+        sums[j] = np.add.reduceat(ys, edges)[0::2]
+        counts[j] = right - left
+    empty = counts == 0
+    estimates = np.empty(sums.shape)
+    degenerate = np.empty(sums.shape, dtype=bool)
+    estimates[:, order] = np.divide(
+        sums, counts, out=np.zeros(sums.shape), where=~empty
+    )
+    degenerate[:, order] = empty
+    return estimates, degenerate
+
+
 def block_estimates(
     partition: PartitionedDataset,
     family: EstimatorFamily,
@@ -244,7 +343,16 @@ def block_estimates(
     estimates are 0 where a block is degenerate; ``active`` marks blocks
     with a sample within ``h`` of the query (every k-NN block is active
     and none is degenerate).
+
+    The naive kernel at d=1 takes the sorted path (``_naive_sorted_1d``),
+    whose window edges are the exact bounds of ``|fl(q - x)| <= h``
+    (``_lower_edge``). Its kernel weight is nonzero exactly when that test,
+    the active test, holds, so there ``active`` is ``~degenerate``. Every
+    other case builds one ``cdist`` matrix per block.
     """
+    if family is EstimatorFamily.NWK_NAIVE and Q.shape[1] == 1:
+        estimates, degenerate = _naive_sorted_1d(partition, h_or_k, Q[:, 0])
+        return estimates, ~degenerate, degenerate
     shape = (partition.m, Q.shape[0])
     estimates = np.zeros(shape)
     active = np.ones(shape, dtype=bool)

@@ -63,8 +63,9 @@ def mesh_norm(block: Dataset, candidates: np.ndarray) -> float:
     """Covering radius of the block over a finite candidate set.
 
     Returns ``max`` over candidates of the Euclidean distance to the nearest
-    block sample, found with a k-d tree; this lower-bounds the continuous
-    covering radius.
+    block sample; this lower-bounds the continuous covering radius. At d=1
+    the nearest sample is a neighbour of the candidate's place in the
+    sorted block; for d>1 it is found with a k-d tree.
     """
     cand = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     if cand.shape[0] < 1:
@@ -75,6 +76,14 @@ def mesh_norm(block: Dataset, candidates: np.ndarray) -> float:
         )
     if block.n < 1:
         raise ValueError("block must be nonempty")
+    if block.d == 1:
+        xs = np.sort(block.x[:, 0])
+        c = cand[:, 0]
+        pos = np.searchsorted(xs, c)
+        # clipped at the ends, both neighbours are the one nearest sample
+        below = c - xs[np.maximum(pos - 1, 0)]
+        above = xs[np.minimum(pos, block.n - 1)] - c
+        return float(np.max(np.minimum(np.abs(below), np.abs(above))))
     dist, _ = cKDTree(block.x).query(cand)
     return float(np.max(dist))
 

@@ -38,11 +38,6 @@ def knn_estimate(xs, ys, k: int, q) -> float:
     return sum(ys[i] for i in chosen) / k
 
 
-def knn_radius(xs, k: int, q) -> float:
-    ranked = sorted(range(len(xs)), key=lambda i: (euclid(q, xs[i]), i))
-    return euclid(q, xs[ranked[k - 1]])
-
-
 def mesh_norm(samples, candidates) -> float:
     """max over candidates of the min distance to any sample."""
     return max(min(euclid(c, s) for s in samples) for c in candidates)

@@ -45,6 +45,26 @@ def oracle_blocks(model):
     return [([tuple(r) for r in b.x], list(b.y)) for b in model.partition.blocks]
 
 
+def oracle_flags(blocks, kind, h, q):
+    """Brute-force (active, degenerate) block counts at query ``q``."""
+    active = sum(any(oracles.euclid(q, x) <= h for x in xs) for xs, _ in blocks)
+    degenerate = sum(
+        sum(oracles.kernel_value(kind, oracles.euclid(q, x) / h) for x in xs) == 0.0
+        for xs, _ in blocks
+    )
+    return active, degenerate
+
+
+def assert_matches_oracle(batch, blocks, kind, h, queries, fn, tol):
+    """Values within ``tol`` of ``fn`` and block counts equal to the oracle's."""
+    np.testing.assert_allclose(
+        batch.values, [fn(blocks, kind, h, q) for q in queries], rtol=0, atol=tol
+    )
+    active, degenerate = zip(*(oracle_flags(blocks, kind, h, q) for q in queries))
+    np.testing.assert_array_equal(batch.active_blocks, active)
+    np.testing.assert_array_equal(batch.degenerate_blocks, degenerate)
+
+
 # --- parameter rules ---------------------------------------------------
 
 
@@ -282,6 +302,35 @@ def test_model_validation():
             predict_batch(model, [[0.5], [bad]])  # non-finite query
 
 
+def test_naive_window_edge_holds_duplicate_run():
+    # x_in lies below q - h, yet |q - x_in| <= h in float arithmetic, because
+    # q - x_in rounds; x_out, the next double down, is outside. Runs of three
+    # copies sit at the left edge of q and, negated, at the right edge of -q,
+    # so an edge found from q - h alone, or widened by one sample and
+    # trimmed, drops part of the run.
+    q, h = 0.20712384061388567, 0.3306078838121382
+    x_in, x_out = -0.12348404319825253, -0.12348404319825254
+    assert x_in < q - h and abs(q - x_in) <= h < abs(q - x_out)
+    edge = [x_in] * 3 + [x_out] * 3
+    x = edge + [-v for v in edge] + [0.0, 0.1, 0.3]
+    ds = Dataset(np.array(x)[:, None], 2.0 ** np.arange(len(x)))
+    queries = np.array([[q], [-q], [0.05], [5.0]])
+    tol = 1e-12 * np.abs(ds.y).max()
+    everything = np.arange(ds.n)
+    left_runs = np.arange(len(edge))  # block 0 of m=2: only the edge runs at q
+    rest = np.arange(len(edge), ds.n)
+    for indices in ((everything,), (left_runs, rest)):
+        part = PartitionedDataset(tuple(ds.subset(i) for i in indices), indices)
+        for variant, fn in (
+            (Variant.A1_PLAIN, oracles.avm_a1_nwk),
+            (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),
+        ):
+            model = AvmModel(part, NWK, variant, h)
+            batch = predict_batch(model, queries)
+            blocks = oracle_blocks(model)
+            assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
+
+
 # dyadic lattice (multiples of 1/8): distances are exact, so distance ties,
 # duplicate inputs and |x - q| = h occur exactly; a coordinate of 40 puts a
 # query so far out that every Gaussian weight underflows to 0
@@ -336,12 +385,8 @@ def test_variants_match_brute_force_oracle(problem):
                 tilde = oracles.tilde_bandwidth(radii, m, cfg.r, cfg.d)
                 assert model.tilde_h == pytest.approx(tilde, rel=1e-12, abs=0)
                 bandwidth = model.tilde_h
-            np.testing.assert_allclose(
-                predict_batch(model, queries).values,
-                [fn(blocks, kind, bandwidth, q) for q in queries],
-                rtol=0,
-                atol=tol,
-            )
+            batch = predict_batch(model, queries)
+            assert_matches_oracle(batch, blocks, kind, bandwidth, queries, fn, tol)
     # k-NN ties go to the lower index within each block
     model = fit_avm(ds, EstimatorConfig(EstimatorFamily.KNN, 1.0, ds.d), m, seed, k=k)
     blocks = oracle_blocks(model)

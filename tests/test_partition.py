@@ -96,6 +96,21 @@ def test_mesh_norm_matches_brute_force():
         assert mesh_norm(blk, cand) == pytest.approx(expected, abs=1e-12)
 
 
+def test_mesh_norm_1d_is_exact():
+    # lattice blocks with duplicates, one-sample blocks, and candidates
+    # beyond both ends of every block; a step of 1/10 is not a dyadic
+    # fraction, so candidate - sample rounds and only the same arithmetic
+    # as the oracle gives the same bits
+    rng = np.random.default_rng(10)
+    cand = (np.arange(-5, 26) / 10)[:, None]
+    for n in [1] * 10 + list(rng.integers(2, 16, size=190)):
+        x = rng.integers(0, 21, size=n)[:, None] / 10
+        if n > 1:
+            x[-1] = x[0]  # at least one duplicate input
+        expected = oracles.mesh_norm([tuple(r) for r in x], [tuple(r) for r in cand])
+        assert mesh_norm(Dataset(x, np.zeros(n)), cand) == expected
+
+
 def test_mesh_norm_memory_is_bounded():
     # a candidate-by-sample distance array would take 4000 * 1000 * 5 * 8 B
     rng = np.random.default_rng(9)
