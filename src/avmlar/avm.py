@@ -121,14 +121,16 @@ class AvmModel:
     tilde_h: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("h_or_k", "tilde_h"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.config.family is EstimatorFamily.KNN:
             k = int(self.h_or_k)
             if not 1 <= k <= self.partition.min_block_size:
                 raise ValueError(
                     f"k={k} out of range [1, {self.partition.min_block_size}]"
                 )
-        elif self.h_or_k <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.h_or_k}")
         nwk_a2 = (
             self.variant is Variant.A2_DATA_DEPENDENT
             and self.config.family is not EstimatorFamily.KNN

@@ -40,12 +40,14 @@ class EstimatorConfig:
     constant_c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError(f"smoothness r must be positive, got {self.r}")
+        if not 0 < self.r < np.inf:
+            raise ValueError(f"smoothness r must be positive and finite, got {self.r}")
         if self.d < 1:
             raise ValueError(f"dimension d must be a positive integer, got {self.d}")
-        if self.constant_c <= 0:
-            raise ValueError(f"constant_c must be positive, got {self.constant_c}")
+        if not 0 < self.constant_c < np.inf:
+            raise ValueError(
+                f"constant_c must be positive and finite, got {self.constant_c}"
+            )
 
 
 class Dataset:

@@ -4,6 +4,13 @@ The dataset is split into seeded folds; each candidate constant is scored
 by fitting the single-machine estimator on the remaining folds (parameter
 rule applied at the training-fold size) and averaging the held-out MSE.
 The winner is the grid argmin, ties going to the smaller constant.
+
+NWK constants, naive and Gaussian, are scored by the prediction engine:
+the training folds form one block and ``block_estimates`` predicts the
+held-out fold, so naive d=1 CV runs on the sorted-window path. k-NN keeps
+one stable argsort of the fold distance matrix, whose response prefix sums
+give the mean for every candidate k at once (ties to the lower sample
+index, as in ``knn_mean``); ``knn_mean`` would redo the search per k.
 """
 
 from __future__ import annotations
@@ -13,11 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .avm import _rule_h_or_k, nwk_mean
-from .core import Dataset, EstimatorConfig, EstimatorFamily
+from .avm import _rule_h_or_k, block_estimates
+from .core import Dataset, EstimatorConfig, EstimatorFamily, mse
 # kernel_profile is unused here but traced on this module by perfbench/spans.py
-from .kernels import KernelKind, kernel_profile  # noqa: F401
-from .partition import random_partition
+from .kernels import kernel_profile  # noqa: F401
+from .partition import PartitionedDataset, random_partition
 
 
 @dataclass(frozen=True)
@@ -34,8 +41,8 @@ class CvConfig:
         grid = tuple(float(c) for c in self.grid)
         if not grid:
             raise ValueError("candidate grid must be nonempty")
-        if any(c <= 0 for c in grid):
-            raise ValueError("candidate constants must be positive")
+        if not all(0 < c < np.inf for c in grid):
+            raise ValueError("candidate constants must be positive and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("candidate grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -52,33 +59,6 @@ def default_constant_grid(lo: float = 0.05, hi: float = 5.0, n: int = 20) -> tup
     return tuple(np.geomspace(lo, hi, n))
 
 
-def _naive_holdout_mses(
-    dist: np.ndarray, train_y: np.ndarray, test_y: np.ndarray, bandwidths: np.ndarray
-) -> np.ndarray:
-    """Held-out MSE of the naive-kernel estimator at several bandwidths.
-
-    The naive-kernel prediction at bandwidth h is the mean response over
-    distances <= h, so one pass binning every distance into the sorted
-    bandwidth grid yields cumulative counts and response sums for all
-    bandwidths at once.
-    """
-    n_test, n_train = dist.shape
-    n_b = bandwidths.shape[0]
-    # bin b means: bandwidths[b-1] < d <= bandwidths[b] (closed ball)
-    bins = np.searchsorted(bandwidths, dist, side="left")
-    flat = (np.arange(n_test)[:, None] * (n_b + 1) + bins).ravel()
-    counts = np.bincount(flat, minlength=n_test * (n_b + 1))
-    sums = np.bincount(
-        flat,
-        weights=np.broadcast_to(train_y, dist.shape).ravel(),
-        minlength=n_test * (n_b + 1),
-    )
-    counts = counts.reshape(n_test, n_b + 1)[:, :n_b].cumsum(axis=1)
-    sums = sums.reshape(n_test, n_b + 1)[:, :n_b].cumsum(axis=1)
-    preds = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return np.mean((preds - test_y[:, None]) ** 2, axis=0)
-
-
 def cv_score_grid(
     dataset: Dataset, config: EstimatorConfig, cv: CvConfig
 ) -> np.ndarray:
@@ -92,26 +72,22 @@ def cv_score_grid(
         train_idx = np.concatenate(
             [folds.indices[j] for j in range(cv.folds) if j != i]
         )
-        train_x, train_y = dataset.x[train_idx], dataset.y[train_idx]
+        train = dataset.subset(train_idx)
         test_x, test_y = dataset.x[test_idx], dataset.y[test_idx]
-        n_train = train_x.shape[0]
         params = [
-            _rule_h_or_k(replace(config, constant_c=c), n_train, 1, n_train)
+            _rule_h_or_k(replace(config, constant_c=c), train.n, 1, train.n)
             for c in cv.grid
         ]
-        dist = cdist(test_x, train_x)
         if config.family is EstimatorFamily.KNN:
-            order = np.argsort(dist, axis=1, kind="stable")
-            prefix = np.cumsum(train_y[order], axis=1)
+            order = np.argsort(cdist(test_x, train.x), axis=1, kind="stable")
+            prefix = np.cumsum(train.y[order], axis=1)
             for gi, k in enumerate(map(int, params)):
-                pred = prefix[:, k - 1] / k
-                scores[gi, i] = float(np.mean((pred - test_y) ** 2))
-        elif config.family is EstimatorFamily.NWK_NAIVE:
-            scores[:, i] = _naive_holdout_mses(dist, train_y, test_y, np.array(params))
+                scores[gi, i] = mse(prefix[:, k - 1] / k, test_y)
         else:
+            block = PartitionedDataset((train,), (train_idx,))
             for gi, h in enumerate(params):
-                pred, _ = nwk_mean(dist, train_y, KernelKind.GAUSSIAN, h)
-                scores[gi, i] = float(np.mean((pred - test_y) ** 2))
+                estimates, _, _ = block_estimates(block, config.family, h, test_x)
+                scores[gi, i] = mse(estimates[0], test_y)
     return scores.mean(axis=1)
 
 

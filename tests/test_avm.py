@@ -276,9 +276,16 @@ def test_model_validation():
         AvmModel(part, NWK, Variant.A2_DATA_DEPENDENT, 0.5)  # missing tilde_h
     with pytest.raises(ValueError):
         AvmModel(part, NWK, Variant.A1_PLAIN, 0.5, tilde_h=0.6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            fit_avm(ds, NWK, 2, 0, h=bad)
+        with pytest.raises(ValueError):
+            AvmModel(part, NWK, Variant.A2_DATA_DEPENDENT, 0.5, tilde_h=bad)
     knn_cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
     with pytest.raises(ValueError):
         AvmModel(part, knn_cfg, Variant.A1_PLAIN, 6)  # k > min block size
+    with pytest.raises(ValueError):
+        AvmModel(part, knn_cfg, Variant.A1_PLAIN, np.inf)
     with pytest.raises(ValueError):
         fit_avm(ds, knn_cfg, 4, 0, h=0.5)  # h is for NWK only
     with pytest.raises(ValueError):

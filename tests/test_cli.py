@@ -79,7 +79,9 @@ def test_predict_rejects_parameter_of_other_family(tmp_path, capsys):
     query = tmp_path / "query.csv"
     run_cli("gen", "--target", "g1", "--n", 100, "--seed", 4, "--out", train)
     run_cli("gen", "--target", "g1", "--n", 5, "--seed", 5, "--test", "--out", query)
-    for kernel, option, value in (("knn", "--h", 0.3), ("naive", "--k", 3)):
+    for kernel, option, value in (
+        ("knn", "--h", 0.3), ("naive", "--k", 3), ("naive", "--h", "nan")
+    ):
         code = run_cli(
             "predict", "--kernel", kernel, "--blocks", 5, option, value,
             "--train", train, "--query", query, "--out", tmp_path / "o.csv",

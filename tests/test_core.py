@@ -83,6 +83,11 @@ def test_estimator_config_validation():
         EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=0.0, d=1)
     with pytest.raises(ValueError):
         EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1, constant_c=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=bad, d=1)
+        with pytest.raises(ValueError):
+            EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1, constant_c=bad)
 
 
 def test_csv_round_trip(tmp_path):

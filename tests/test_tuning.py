@@ -1,3 +1,7 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,8 @@ from avmlar import (
 )
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+KERNEL = {EstimatorFamily.NWK_NAIVE: "naive", EstimatorFamily.NWK_GAUSSIAN: "gaussian"}
 
 
 def test_singleton_grid_returned_unconditionally():
@@ -65,6 +71,9 @@ def test_rejects_bad_configs():
         CvConfig((0.5, 0.4), folds=5, seed=0)
     with pytest.raises(ValueError):
         CvConfig((0.5,), folds=1, seed=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            CvConfig((0.5, bad), folds=5, seed=0)
 
 
 def _exhaustive_fold_scores(ds, config, cv):
@@ -84,21 +93,34 @@ def _exhaustive_fold_scores(ds, config, cv):
                 preds = [oracles.knn_estimate(xs, ys, k, ds.x[t]) for t in test_idx]
             else:
                 h = nwk_bandwidth_rule(n, config.r, config.d, c)
-                preds = [
-                    oracles.nwk_estimate(xs, ys, "naive", h, ds.x[t])
-                    for t in test_idx
-                ]
+                kind = KERNEL[config.family]
+                preds = [oracles.nwk_estimate(xs, ys, kind, h, ds.x[t]) for t in test_idx]
             out[gi, i] = mse(preds, ds.y[test_idx])
     return out.mean(axis=1)
 
 
-def test_nwk_scores_match_exhaustive_rescoring():
-    ds = generate_dataset(TargetModel(TargetKind.G1), 150, 5)
+@pytest.mark.parametrize(
+    "family, d",
+    [
+        (EstimatorFamily.NWK_NAIVE, 1),
+        (EstimatorFamily.NWK_GAUSSIAN, 1),
+        (EstimatorFamily.NWK_NAIVE, 2),
+    ],
+    ids=["naive-d1", "gaussian-d1", "naive-d2"],
+)
+def test_nwk_scores_match_exhaustive_rescoring(family, d):
+    cfg = EstimatorConfig(family, r=1.0, d=d)
+    if d == 1:
+        ds = generate_dataset(TargetModel(TargetKind.G1), 150, 5)
+    else:
+        rng = np.random.default_rng(5)
+        x = rng.random((150, d))
+        ds = Dataset(x, np.sin(4.0 * x.sum(axis=1)) + 0.3 * rng.standard_normal(150))
     cv = CvConfig((0.2, 0.8, 2.0), folds=3, seed=6)
-    fast = cv_score_grid(ds, NWK, cv)
-    slow = _exhaustive_fold_scores(ds, NWK, cv)
+    fast = cv_score_grid(ds, cfg, cv)
+    slow = _exhaustive_fold_scores(ds, cfg, cv)
     np.testing.assert_allclose(fast, slow, atol=1e-12)
-    assert cv_select_constant(ds, NWK, cv) == cv.grid[int(np.argmin(slow))]
+    assert cv_select_constant(ds, cfg, cv) == cv.grid[int(np.argmin(slow))]
 
 
 def test_knn_scores_match_exhaustive_rescoring():
@@ -108,6 +130,31 @@ def test_knn_scores_match_exhaustive_rescoring():
     fast = cv_score_grid(ds, cfg, cv)
     slow = _exhaustive_fold_scores(ds, cfg, cv)
     np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+def test_naive_cv_memory_is_bounded_at_sweep_size():
+    # a fold x fold matrix at this size would take hundreds of MiB
+    ds = generate_dataset(TargetModel(TargetKind.G1), 10_000, 0)
+    cv = CvConfig(default_constant_grid(), folds=5, seed=0)
+    tracemalloc.start()
+    try:
+        cv_select_constant(ds, NWK, cv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("sweep", ["sim1-variants", "sim1-knn"])
+def test_selection_matches_benchmark_reference(sweep):
+    # the constants the benchmark records for its reduced-size sweeps
+    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["smoke"][sweep]
+    family = EstimatorFamily.KNN if sweep == "sim1-knn" else EstimatorFamily.NWK_NAIVE
+    cfg = EstimatorConfig(family, r=1.0, d=1)
+    cv = CvConfig(default_constant_grid(), folds=5, seed=0)
+    for seed, entry in recorded.items():
+        ds = generate_dataset(TargetModel(TargetKind.G1), 1000, int(seed))
+        assert cv_select_constant(ds, cfg, cv) == entry["cv_constant"], seed
 
 
 def test_selected_constant_beats_endpoints_on_g1():
