@@ -47,7 +47,6 @@ from .lar import WeightVector, nwk_weights
 from .partition import (
     PartitionedDataset,
     default_candidates,
-    mesh_norm,
     mesh_norm_report,
     random_partition,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "knn_admissible_m",
     "knn_k_rule",
     "load_road_network",
-    "mesh_norm",
     "mesh_norm_report",
     "mse",
     "nwk_bandwidth_rule",

@@ -33,6 +33,7 @@ active exactly when it is not degenerate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -126,11 +127,9 @@ class AvmModel:
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.config.family is EstimatorFamily.KNN:
-            k = int(self.h_or_k)
-            if not 1 <= k <= self.partition.min_block_size:
-                raise ValueError(
-                    f"k={k} out of range [1, {self.partition.min_block_size}]"
-                )
+            k, top = self.h_or_k, self.partition.min_block_size
+            if k != int(k) or not 1 <= k <= top:
+                raise ValueError(f"k={k} is not an integer in [1, {top}]")
         nwk_a2 = (
             self.variant is Variant.A2_DATA_DEPENDENT
             and self.config.family is not EstimatorFamily.KNN
@@ -313,11 +312,12 @@ def _naive_sorted_1d(
     counts = np.empty(sums.shape, dtype=np.intp)
     edges = np.empty(2 * len(q), dtype=np.intp)
     left, right = edges[0::2], edges[1::2]
-    for j, block in enumerate(partition.blocks):
-        by_x = np.argsort(block.x[:, 0], kind="stable")
+    x, y = partition.data.x[:, 0], partition.data.y
+    for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
+        by_x = np.argsort(x[a:b], kind="stable")
         # the 0 sentinel makes right == n a valid reduceat index
-        ys = np.append(block.y[by_x], 0.0)
-        xs = block.x[by_x, 0]
+        ys = np.append(y[a:b][by_x], 0.0)
+        xs = x[a:b][by_x]
         left[:] = np.searchsorted(xs, lower, side="left")
         right[:] = np.searchsorted(xs, upper, side="right")
         # an empty window (left == right) sums one element; it is masked below
@@ -360,12 +360,13 @@ def block_estimates(
     active = np.ones(shape, dtype=bool)
     degenerate = np.zeros(shape, dtype=bool)
     kind = _FAMILY_KERNEL.get(family)
-    for j, block in enumerate(partition.blocks):
-        dist = cdist(Q, block.x)
+    x, y = partition.data.x, partition.data.y
+    for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
+        dist = cdist(Q, x[a:b])
         if family is EstimatorFamily.KNN:
-            estimates[j] = knn_mean(dist, block.y, int(h_or_k))
+            estimates[j] = knn_mean(dist, y[a:b], int(h_or_k))
         else:
-            _, degenerate[j] = nwk_mean(dist, block.y, kind, h_or_k, estimates[j])
+            _, degenerate[j] = nwk_mean(dist, y[a:b], kind, h_or_k, estimates[j])
             active[j] = dist.min(axis=1) <= h_or_k
     return estimates, active, degenerate
 

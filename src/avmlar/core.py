@@ -123,11 +123,10 @@ class Dataset:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """New dataset of the given rows (parent order), sharing domain bounds."""
-        idx = np.asarray(indices)
+    def subset(self, rows: np.ndarray | slice) -> "Dataset":
+        """Dataset of the given rows, sharing domain bounds; a slice gives a view."""
         return Dataset(
-            self.x[idx], self.y[idx], self.domain_bounds, validate_bounds=False
+            self.x[rows], self.y[rows], self.domain_bounds, validate_bounds=False
         )
 
 

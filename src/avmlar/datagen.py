@@ -46,8 +46,8 @@ class TargetModel:
     def __post_init__(self) -> None:
         if self.noise_sd is None:
             object.__setattr__(self, "noise_sd", _DEFAULT_NOISE_SD[self.kind])
-        elif self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        elif not 0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
 
     @property
     def d(self) -> int:

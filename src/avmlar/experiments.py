@@ -111,11 +111,11 @@ class ExperimentConfig:
         cap = self.mesh_candidate_cap
         if cap is not None and cap < 1:
             raise ValueError(f"mesh_candidate_cap must be >= 1, got {cap}")
+        if any(not 1 <= m < np.inf or m != int(m) for m in self.m_grid):
+            raise ValueError(f"every m must be a positive integer, got {self.m_grid}")
         grid = tuple(int(m) for m in self.m_grid)
         if not grid:
             raise ValueError("m_grid must be nonempty")
-        if any(m < 1 for m in grid):
-            raise ValueError("every m must be positive")
         if len(set(grid)) < len(grid):
             raise ValueError(f"m_grid repeats a value: {grid}")
         object.__setattr__(self, "m_grid", grid)
@@ -125,11 +125,11 @@ class ExperimentConfig:
                 f"{self.scenario.value} data have dimension "
                 f"{' or '.join(map(str, dims))}, not d={self.estimator.d}"
             )
-        if self.scenario is Scenario.ROAD:
-            if self.data_path is None:
-                raise ValueError("ROAD scenario requires data_path")
-        elif self.n is None or self.n < 1:
-            raise ValueError("synthetic scenarios require a positive n")
+        road = self.scenario is Scenario.ROAD
+        if road and self.data_path is None:
+            raise ValueError("ROAD scenario requires data_path")
+        if not (self.n is None and road or self.n is not None and self.n >= 1):
+            raise ValueError(f"n must be positive (None: every road row), got {self.n}")
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, **overrides) -> "ExperimentConfig":
@@ -193,7 +193,7 @@ def _single_block_mse(
     part: PartitionedDataset, test: Dataset, estimator: EstimatorConfig
 ) -> float:
     """Test MSE of the estimator on a one-block partition, h/k by rule."""
-    n = part.blocks[0].n
+    n = part.data.n
     h_or_k = _rule_h_or_k(estimator, n, 1, n)
     model = AvmModel(part, estimator, Variant.A1_PLAIN, h_or_k)
     return mse(predict_batch(model, test.x).values, test.y)
@@ -229,18 +229,16 @@ def compute_ge_le_ae(
     ``candidates`` sets the covering-radius candidates of kernel
     estimators; k-NN computes no covering radii and rejects them.
     """
-    if m > train.n:
-        raise ValueError(f"m={m} exceeds training size {train.n}")
     knn = estimator.family is EstimatorFamily.KNN
     if knn and candidates is not None:
         raise ValueError("candidates= is for kernel estimators only")
+    part = random_partition(train, m, _mix_seed(seed, m))
     row: dict[str, float | int | None] = {"m": int(m)}
     if ge is None:
         ge = _single_machine_mse(train, test, estimator, _mix_seed(seed, 1))
     row["ge"] = ge
 
-    part = random_partition(train, m, _mix_seed(seed, m))
-    first = PartitionedDataset((part.blocks[0],), (part.indices[0],))
+    first = PartitionedDataset.from_indices(train, [part.rows[: part.offsets[1]]])
     row["le"] = _single_block_mse(first, test, estimator)
 
     h_or_k = _rule_h_or_k(estimator, train.n, m, part.min_block_size)

@@ -1,4 +1,4 @@
-"""Random division of a dataset into blocks, and block covering radii.
+"""Random block-major division of a dataset, and block covering radii.
 
 The covering radius (mesh norm) of a block is the largest distance from
 any domain point to its nearest block sample. The continuous supremum is
@@ -8,6 +8,7 @@ the standard choice and callers may override it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,22 +20,42 @@ from .core import Dataset
 
 @dataclass(frozen=True)
 class PartitionedDataset:
-    """Disjoint blocks of a parent dataset.
+    """Disjoint blocks of a parent dataset, stored block-major.
 
-    ``indices[j]`` holds block ``j``'s row numbers in the parent; ``blocks``
-    are the corresponding datasets (parent domain bounds retained).
+    ``data`` holds the parent rows in block order and ``rows`` their row
+    numbers in the parent; block ``j`` is rows ``offsets[j]:offsets[j+1]``
+    of both. Build one with ``from_indices``.
     """
 
-    blocks: tuple[Dataset, ...]
-    indices: tuple[np.ndarray, ...]
+    data: Dataset
+    rows: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_indices(
+        cls, dataset: Dataset, indices: list[np.ndarray]
+    ) -> PartitionedDataset:
+        """Block ``j`` is rows ``indices[j]`` of ``dataset``; no block may be empty."""
+        if not indices or min(len(idx) for idx in indices) < 1:
+            raise ValueError("every block must hold at least one row")
+        rows = np.concatenate(indices)
+        offsets = np.cumsum([0] + [len(idx) for idx in indices])
+        return cls(dataset.subset(rows), rows, offsets)
 
     @property
     def m(self) -> int:
-        return len(self.blocks)
+        return len(self.offsets) - 1
 
     @property
     def min_block_size(self) -> int:
-        return min(b.n for b in self.blocks)
+        return int(np.diff(self.offsets).min())
+
+    @functools.cached_property
+    def blocks(self) -> tuple[Dataset, ...]:
+        """Each block as a ``Dataset`` viewing ``data`` (no rows are copied)."""
+        return tuple(
+            self.data.subset(slice(a, b)) for a, b in itertools.pairwise(self.offsets)
+        )
 
 
 def random_partition(dataset: Dataset, m: int, seed: int) -> PartitionedDataset:
@@ -45,47 +66,10 @@ def random_partition(dataset: Dataset, m: int, seed: int) -> PartitionedDataset:
     blocks receive one extra sample. The same (dataset, m, seed) always
     produces the identical partition.
     """
-    m = int(m)
-    n_total = dataset.n
-    if not 1 <= m <= n_total:
-        raise ValueError(f"m must satisfy 1 <= m <= {n_total}, got {m}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_total)
-    base, extra = divmod(n_total, m)
-    sizes = [base + 1 if j < extra else base for j in range(m)]
-    bounds = np.cumsum([0] + sizes)
-    indices = tuple(perm[bounds[j] : bounds[j + 1]] for j in range(m))
-    blocks = tuple(dataset.subset(idx) for idx in indices)
-    return PartitionedDataset(blocks, indices)
-
-
-def mesh_norm(block: Dataset, candidates: np.ndarray) -> float:
-    """Covering radius of the block over a finite candidate set.
-
-    Returns ``max`` over candidates of the Euclidean distance to the nearest
-    block sample; this lower-bounds the continuous covering radius. At d=1
-    the nearest sample is a neighbour of the candidate's place in the
-    sorted block; for d>1 it is found with a k-d tree.
-    """
-    cand = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    if cand.shape[0] < 1:
-        raise ValueError("candidate set must be nonempty")
-    if cand.shape[1] != block.d:
-        raise ValueError(
-            f"candidates have dimension {cand.shape[1]}, block has {block.d}"
-        )
-    if block.n < 1:
-        raise ValueError("block must be nonempty")
-    if block.d == 1:
-        xs = np.sort(block.x[:, 0])
-        c = cand[:, 0]
-        pos = np.searchsorted(xs, c)
-        # clipped at the ends, both neighbours are the one nearest sample
-        below = c - xs[np.maximum(pos - 1, 0)]
-        above = xs[np.minimum(pos, block.n - 1)] - c
-        return float(np.max(np.minimum(np.abs(below), np.abs(above))))
-    dist, _ = cKDTree(block.x).query(cand)
-    return float(np.max(dist))
+    if not 1 <= m <= dataset.n or m != int(m):
+        raise ValueError(f"m must be an integer in [1, {dataset.n}], got {m}")
+    perm = np.random.default_rng(seed).permutation(dataset.n)
+    return PartitionedDataset.from_indices(dataset, np.array_split(perm, int(m)))
 
 
 def default_candidates(dataset: Dataset) -> np.ndarray:
@@ -95,8 +79,6 @@ def default_candidates(dataset: Dataset) -> np.ndarray:
     the union of all parent sample inputs and the corners of the bounding
     box; corners are omitted beyond d=10 to cap their count at 2^10.
     """
-    if dataset.n < 1:
-        raise ValueError("dataset must be nonempty")
     bounds = dataset.domain_bounds
     if dataset.d == 1:
         return np.linspace(bounds[0, 0], bounds[0, 1], 1001)[:, None]
@@ -111,6 +93,29 @@ def default_candidates(dataset: Dataset) -> np.ndarray:
 def mesh_norm_report(
     partition: PartitionedDataset, candidates: np.ndarray
 ) -> np.ndarray:
-    """Covering radius of every block over one shared candidate set, shape (m,)."""
+    """Covering radius of every block over one shared candidate set, shape (m,).
+
+    Each radius is the ``max`` over candidates of the Euclidean distance to
+    the nearest block sample; this lower-bounds the continuous covering
+    radius. At d=1 the nearest sample is a neighbour of the candidate's
+    place in the sorted block; for d>1 it is found with a k-d tree.
+    """
     cand = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    return np.array([mesh_norm(block, cand) for block in partition.blocks])
+    if cand.shape[0] < 1:
+        raise ValueError("candidate set must be nonempty")
+    x = partition.data.x
+    if cand.shape[1] != x.shape[1]:
+        raise ValueError(f"candidates have dimension {cand.shape[1]}, not {x.shape[1]}")
+    radii = np.empty(partition.m)
+    c = cand[:, 0]
+    for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
+        if x.shape[1] > 1:
+            radii[j] = np.max(cKDTree(x[a:b]).query(cand)[0])
+            continue
+        xs = np.sort(x[a:b, 0])
+        pos = np.searchsorted(xs, c)
+        # clipped at the ends, both neighbours are the one nearest sample
+        below = c - xs[np.maximum(pos - 1, 0)]
+        above = xs[np.minimum(pos, b - a - 1)] - c
+        radii[j] = np.max(np.minimum(np.abs(below), np.abs(above)))
+    return radii

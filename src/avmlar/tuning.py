@@ -15,6 +15,7 @@ index, as in ``knn_mean``); ``knn_mean`` would redo the search per k.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,13 +68,12 @@ def cv_score_grid(
         raise ValueError(f"need at least {cv.folds} samples, got {dataset.n}")
     folds = random_partition(dataset, cv.folds, cv.seed)
     scores = np.zeros((len(cv.grid), cv.folds))
-    for i in range(cv.folds):
-        test_idx = folds.indices[i]
-        train_idx = np.concatenate(
-            [folds.indices[j] for j in range(cv.folds) if j != i]
+    for i, (a, b) in enumerate(itertools.pairwise(folds.offsets)):
+        test_x, test_y = folds.data.x[a:b], folds.data.y[a:b]
+        block = PartitionedDataset.from_indices(
+            dataset, [np.delete(folds.rows, slice(a, b))]
         )
-        train = dataset.subset(train_idx)
-        test_x, test_y = dataset.x[test_idx], dataset.y[test_idx]
+        train = block.data
         params = [
             _rule_h_or_k(replace(config, constant_c=c), train.n, 1, train.n)
             for c in cv.grid
@@ -84,7 +84,6 @@ def cv_score_grid(
             for gi, k in enumerate(map(int, params)):
                 scores[gi, i] = mse(prefix[:, k - 1] / k, test_y)
         else:
-            block = PartitionedDataset((train,), (train_idx,))
             for gi, h in enumerate(params):
                 estimates, _, _ = block_estimates(block, config.family, h, test_x)
                 scores[gi, i] = mse(estimates[0], test_y)

@@ -153,7 +153,7 @@ def test_criterion_2_collapse_identities():
 
     rng = np.random.default_rng(10)
     blk = Dataset(rng.random((30, 1)), rng.normal(size=30))
-    one_block = PartitionedDataset((blk,), (np.arange(blk.n),))
+    one_block = PartitionedDataset.from_indices(blk, [np.arange(blk.n)])
     knn = AvmModel(one_block, KNN_SWEEP, Variant.A1_PLAIN, 30)
     knn_gap = abs(predict_batch(knn, [[0.5]]).values[0] - blk.y.mean())
 

@@ -35,9 +35,8 @@ def uniform_dataset(n, d=1, seed=0, const_y=None):
 def two_block_partition(xs, ys, first_indices):
     """Deterministic two-block split used to pin down per-block estimates."""
     ds = Dataset(np.asarray(xs, dtype=float)[:, None], ys, np.array([[0.0, 1.0]]))
-    idx_a = np.array(first_indices)
-    idx_b = np.array([i for i in range(len(xs)) if i not in first_indices])
-    return PartitionedDataset((ds.subset(idx_a), ds.subset(idx_b)), (idx_a, idx_b))
+    rest = [i for i in range(len(xs)) if i not in first_indices]
+    return PartitionedDataset.from_indices(ds, [np.array(first_indices), np.array(rest)])
 
 
 def oracle_blocks(model):
@@ -286,6 +285,13 @@ def test_model_validation():
         AvmModel(part, knn_cfg, Variant.A1_PLAIN, 6)  # k > min block size
     with pytest.raises(ValueError):
         AvmModel(part, knn_cfg, Variant.A1_PLAIN, np.inf)
+    # a non-integral m or k is rejected, never truncated
+    with pytest.raises(ValueError, match="integer"):
+        AvmModel(part, knn_cfg, Variant.A1_PLAIN, 2.5)
+    with pytest.raises(ValueError, match="integer"):
+        fit_avm(ds, knn_cfg, 2, 0, k=2.5)
+    with pytest.raises(ValueError, match="integer"):
+        fit_avm(ds, NWK, 2.7, 0)
     with pytest.raises(ValueError):
         fit_avm(ds, knn_cfg, 4, 0, h=0.5)  # h is for NWK only
     with pytest.raises(ValueError):
@@ -327,7 +333,7 @@ def test_naive_window_edge_holds_duplicate_run():
     left_runs = np.arange(len(edge))  # block 0 of m=2: only the edge runs at q
     rest = np.arange(len(edge), ds.n)
     for indices in ((everything,), (left_runs, rest)):
-        part = PartitionedDataset(tuple(ds.subset(i) for i in indices), indices)
+        part = PartitionedDataset.from_indices(ds, list(indices))
         for variant, fn in (
             (Variant.A1_PLAIN, oracles.avm_a1_nwk),
             (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),

@@ -25,6 +25,14 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_rejects_non_finite_noise_sd(tmp_path, capsys):
+    out = tmp_path / "g1.csv"
+    code = run_cli("gen", "--target", "g1", "--n", 3, "--noise-sd", "nan", "--out", out)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_test_set_noiseless(tmp_path):
     out = tmp_path / "t.csv"
     run_cli("gen", "--target", "g1", "--n", 10, "--seed", 1, "--test", "--out", out)

@@ -78,6 +78,13 @@ def test_default_noise_levels():
     assert G3.noise_sd == pytest.approx(math.sqrt(0.2))
 
 
+def test_noise_sd_must_be_finite_and_nonnegative():
+    assert TargetModel(TargetKind.G1, noise_sd=0.0).noise_sd == 0.0
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_sd"):
+            TargetModel(TargetKind.G1, noise_sd=bad)
+
+
 def test_generation_deterministic():
     a = generate_dataset(G1, 100, 7)
     b = generate_dataset(G1, 100, 7)

@@ -225,6 +225,10 @@ def test_road_scenario_pipeline(tmp_path):
     for row in result.rows:
         for col in ("ge", "le", "ae_a1", "ae_a2", "ae_a3"):
             assert row[col] >= 0.0
+    # n=None reads every row; a given n must be positive
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="n must be positive"):
+            dataclasses.replace(config, n=bad)
 
 
 def test_config_validation():
@@ -240,6 +244,9 @@ def test_config_validation():
         ExperimentConfig.for_scenario(Scenario.SIM1_NWK, mesh_candidate_cap=0)
     with pytest.raises(ValueError, match="repeats"):
         ExperimentConfig.for_scenario(Scenario.SIM1_NWK, m_grid=(4, 4))
+    for grid in ((2.5, 5), (0, 5), (np.inf,)):  # never truncated to integers
+        with pytest.raises(ValueError, match="positive integer"):
+            ExperimentConfig.for_scenario(Scenario.SIM1_NWK, m_grid=grid)
     # the estimator dimension must be one the scenario has data for
     d5 = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=5)
     with pytest.raises(ValueError, match="dimension"):

@@ -28,7 +28,7 @@ def block_1d(xs, ys=None):
 
 def one_block(blk, family, h_or_k):
     """The m=1 model of ``blk``: a single-block estimate is ``predict_batch`` on it."""
-    part = PartitionedDataset((blk,), (np.arange(blk.n),))
+    part = PartitionedDataset.from_indices(blk, [np.arange(blk.n)])
     config = EstimatorConfig(family, r=1.0, d=blk.d)
     return AvmModel(part, config, Variant.A1_PLAIN, h_or_k)
 

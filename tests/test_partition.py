@@ -6,8 +6,8 @@ import pytest
 import oracles
 from avmlar import (
     Dataset,
+    PartitionedDataset,
     default_candidates,
-    mesh_norm,
     mesh_norm_report,
     random_partition,
 )
@@ -23,15 +23,14 @@ def test_single_block_is_whole_dataset():
     ds = uniform_dataset(8)
     part = random_partition(ds, 1, 3)
     assert part.m == 1
-    assert sorted(part.indices[0]) == list(range(8))
+    assert sorted(part.rows) == list(range(8))
 
 
 def test_even_split_sizes():
     ds = uniform_dataset(10)
     part = random_partition(ds, 5, 0)
     assert [b.n for b in part.blocks] == [2, 2, 2, 2, 2]
-    union = np.sort(np.concatenate(part.indices))
-    assert np.array_equal(union, np.arange(10))
+    assert np.array_equal(np.sort(part.rows), np.arange(10))
 
 
 def test_remainder_distribution():
@@ -50,11 +49,48 @@ def test_partition_invariants_random_cases():
         part = random_partition(ds, m, seed)
         sizes = [b.n for b in part.blocks]
         assert max(sizes) - min(sizes) <= 1
-        union = np.sort(np.concatenate(part.indices))
-        assert np.array_equal(union, np.arange(n))
+        assert np.array_equal(np.sort(part.rows), np.arange(n))
         again = random_partition(ds, m, seed)
-        for a, b in zip(part.indices, again.indices):
-            assert np.array_equal(a, b)
+        assert np.array_equal(part.rows, again.rows)
+        assert np.array_equal(part.offsets, again.offsets)
+
+
+def test_block_major_layout():
+    # data is the parent rows in block order; the first N mod m blocks
+    # hold one extra row; every block view shares data's memory
+    for n, m in ((10, 3), (12, 4), (7, 7), (9, 1)):
+        ds = uniform_dataset(n, d=2, seed=n)
+        part = random_partition(ds, m, 4)
+        assert np.array_equal(part.data.x, ds.x[part.rows])
+        assert np.array_equal(part.data.y, ds.y[part.rows])
+        sizes = [n // m + (j < n % m) for j in range(m)]
+        assert part.offsets.tolist() == np.cumsum([0] + sizes).tolist()
+        assert part.m == m and part.min_block_size == min(sizes)
+        for j, blk in enumerate(part.blocks):
+            a, b = part.offsets[j], part.offsets[j + 1]
+            assert np.array_equal(blk.x, part.data.x[a:b])
+            assert np.array_equal(blk.y, part.data.y[a:b])
+            assert np.shares_memory(blk.x, part.data.x)
+            assert np.shares_memory(blk.y, part.data.y)
+
+
+def test_partition_membership_is_pinned():
+    # recorded before the block-major layout; membership and in-block
+    # order must not change, or every sweep CSV would
+    ds = Dataset(np.arange(11.0)[:, None], np.zeros(11))
+    part = random_partition(ds, 3, 5)
+    assert part.rows.tolist() == [10, 7, 1, 3, 2, 4, 6, 0, 9, 5, 8]
+    assert part.offsets.tolist() == [0, 4, 8, 11]
+    blocks = [[int(v) for v in blk.x[:, 0]] for blk in part.blocks]
+    assert blocks == [[10, 7, 1, 3], [2, 4, 6, 0], [9, 5, 8]]
+
+
+def test_from_indices_rejects_an_empty_block():
+    ds = uniform_dataset(4)
+    with pytest.raises(ValueError, match="at least one row"):
+        PartitionedDataset.from_indices(ds, [np.array([0, 1]), np.array([], dtype=int)])
+    with pytest.raises(ValueError):
+        PartitionedDataset.from_indices(ds, [])
 
 
 def test_partition_rejects_m_out_of_range():
@@ -63,25 +99,34 @@ def test_partition_rejects_m_out_of_range():
         random_partition(ds, 6, 0)
     with pytest.raises(ValueError):
         random_partition(ds, 0, 0)
+    for bad in (2.7, 0.5, np.nan, np.inf):  # never truncated to an integer
+        with pytest.raises(ValueError):
+            random_partition(ds, bad, 0)
 
 
 def grid_1d(step=0.01):
     return np.arange(0.0, 1.0 + step / 2, step)[:, None]
 
 
+def one_block_radius(blk, candidates):
+    """Covering radius of ``blk`` as the one block of a partition."""
+    whole = PartitionedDataset.from_indices(blk, [np.arange(blk.n)])
+    return mesh_norm_report(whole, candidates)[0]
+
+
 def test_mesh_norm_two_point_block():
     blk = Dataset(np.array([[0.2], [0.8]]), [0.0, 0.0], np.array([[0.0, 1.0]]))
-    assert mesh_norm(blk, grid_1d()) == pytest.approx(0.30, abs=0.01)
+    assert one_block_radius(blk, grid_1d()) == pytest.approx(0.30, abs=0.01)
 
 
 def test_mesh_norm_zero_when_candidates_covered():
     blk = Dataset(np.array([[0.2], [0.8]]), [0.0, 0.0])
-    assert mesh_norm(blk, np.array([[0.2], [0.8]])) == 0.0
+    assert one_block_radius(blk, np.array([[0.2], [0.8]])) == 0.0
 
 
 def test_mesh_norm_center_block():
     blk = Dataset(np.array([[0.5]]), [0.0], np.array([[0.0, 1.0]]))
-    assert mesh_norm(blk, grid_1d()) == pytest.approx(0.50, abs=0.01)
+    assert one_block_radius(blk, grid_1d()) == pytest.approx(0.50, abs=0.01)
 
 
 def test_mesh_norm_matches_brute_force():
@@ -93,7 +138,7 @@ def test_mesh_norm_matches_brute_force():
         blk = Dataset(rng.random((n, d)), np.zeros(n))
         cand = rng.random((c, d))
         expected = oracles.mesh_norm([tuple(r) for r in blk.x], [tuple(r) for r in cand])
-        assert mesh_norm(blk, cand) == pytest.approx(expected, abs=1e-12)
+        assert one_block_radius(blk, cand) == pytest.approx(expected, abs=1e-12)
 
 
 def test_mesh_norm_1d_is_exact():
@@ -108,17 +153,18 @@ def test_mesh_norm_1d_is_exact():
         if n > 1:
             x[-1] = x[0]  # at least one duplicate input
         expected = oracles.mesh_norm([tuple(r) for r in x], [tuple(r) for r in cand])
-        assert mesh_norm(Dataset(x, np.zeros(n)), cand) == expected
+        assert one_block_radius(Dataset(x, np.zeros(n)), cand) == expected
 
 
 def test_mesh_norm_memory_is_bounded():
     # a candidate-by-sample distance array would take 4000 * 1000 * 5 * 8 B
     rng = np.random.default_rng(9)
     blk = Dataset(rng.random((1000, 5)), np.zeros(1000))
+    whole = PartitionedDataset.from_indices(blk, [np.arange(blk.n)])
     cand = rng.random((4000, 5))
     tracemalloc.start()
     try:
-        mesh_norm(blk, cand)
+        mesh_norm_report(whole, cand)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -131,11 +177,11 @@ def test_mesh_norm_monotone_in_samples_and_candidates():
         n = int(rng.integers(1, 10))
         blk_x = rng.random((n, 2))
         cand = rng.random((8, 2))
-        base = mesh_norm(Dataset(blk_x, np.zeros(n)), cand)
+        base = one_block_radius(Dataset(blk_x, np.zeros(n)), cand)
         bigger_block = np.vstack([blk_x, rng.random((1, 2))])
-        assert mesh_norm(Dataset(bigger_block, np.zeros(n + 1)), cand) <= base + 1e-12
+        assert one_block_radius(Dataset(bigger_block, np.zeros(n + 1)), cand) <= base + 1e-12
         more_cand = np.vstack([cand, rng.random((3, 2))])
-        assert mesh_norm(Dataset(blk_x, np.zeros(n)), more_cand) >= base - 1e-12
+        assert one_block_radius(Dataset(blk_x, np.zeros(n)), more_cand) >= base - 1e-12
 
 
 def test_mesh_norm_bounded_by_domain_diameter():
@@ -143,16 +189,15 @@ def test_mesh_norm_bounded_by_domain_diameter():
     part = random_partition(ds, 5, 1)
     cand = default_candidates(ds)
     diam = np.linalg.norm(ds.domain_bounds[:, 1] - ds.domain_bounds[:, 0])
-    for blk in part.blocks:
-        assert mesh_norm(blk, cand) <= diam
+    assert np.all(mesh_norm_report(part, cand) <= diam)
 
 
 def test_mesh_norm_rejects_bad_inputs():
     blk = Dataset(np.array([[0.5]]), [0.0])
     with pytest.raises(ValueError):
-        mesh_norm(blk, np.empty((0, 1)))
+        one_block_radius(blk, np.empty((0, 1)))
     with pytest.raises(ValueError):
-        mesh_norm(blk, np.array([[0.1, 0.2]]))
+        one_block_radius(blk, np.array([[0.1, 0.2]]))
 
 
 def test_default_candidates_1d_grid():
@@ -184,7 +229,11 @@ def test_mesh_norm_report_collects_blocks():
     radii = mesh_norm_report(part, cand)
     assert radii.shape == (4,) and radii.dtype == np.float64
     assert np.all(radii >= 0)
-    assert radii.tolist() == [mesh_norm(b, cand) for b in part.blocks]
+    expected = [
+        oracles.mesh_norm([tuple(r) for r in b.x], [tuple(r) for r in cand])
+        for b in part.blocks
+    ]
+    assert radii.tolist() == expected
 
 
 def test_covering_probability_decreases_with_block_size():
@@ -198,7 +247,7 @@ def test_covering_probability_decreases_with_block_size():
         for rep in range(reps):
             ds = uniform_dataset(n, seed=1000 + 7 * n + rep)
             part = random_partition(ds, 1, rep)
-            if mesh_norm(part.blocks[0], cand) > h:
+            if mesh_norm_report(part, cand)[0] > h:
                 hits += 1
         freqs.append(hits / reps)
     assert freqs[0] >= freqs[1] - 0.05

@@ -81,10 +81,9 @@ def _exhaustive_fold_scores(ds, config, cv):
     folds = random_partition(ds, cv.folds, cv.seed)
     out = np.zeros((len(cv.grid), cv.folds))
     for i in range(cv.folds):
-        test_idx = folds.indices[i]
-        train_idx = np.concatenate(
-            [folds.indices[j] for j in range(cv.folds) if j != i]
-        )
+        fold = slice(folds.offsets[i], folds.offsets[i + 1])
+        test_idx = folds.rows[fold]
+        train_idx = np.delete(folds.rows, fold)
         xs, ys = [tuple(r) for r in ds.x[train_idx]], list(ds.y[train_idx])
         n = len(xs)
         for gi, c in enumerate(cv.grid):
