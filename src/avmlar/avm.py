@@ -12,10 +12,10 @@ Three ways to combine per-block local estimates at a query point:
 For the k-NN family the localization radius adapts per block, so every
 block is always active and all three variants coincide with A1.
 
-Every prediction path runs through the core below: ``nwk_mean`` (dense
-NWK), ``_naive_sorted_1d`` (sorted naive NWK at d=1), ``knn_mean`` (home of
-the k-NN tie rule), ``block_estimates``, ``combine``, and ``_rule_h_or_k``
-for h and k.
+Every prediction path and CV score runs through the core below: ``nwk_mean``
+(dense NWK), ``_naive_sorted_1d`` (sorted naive NWK at d=1), ``knn_mean``
+(the one k-NN selector and tie rule, over a grid of k), ``block_estimates``,
+``combine``, and ``_rule_h_or_k`` for h and k.
 
 ``block_estimates`` has two paths, chosen by family and input dimension.
 The naive kernel at d=1 takes the sorted path: each block is sorted once
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -227,24 +227,26 @@ def nwk_mean(
     return np.divide(num, den, out=out, where=ok), ~ok
 
 
-def knn_mean(dist: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Mean response of the ``k`` nearest samples per row of ``dist``.
+def knn_mean(dist: np.ndarray, y: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """Mean response of the k nearest samples per row of ``dist``, shape (len(ks), rows).
 
-    Ties go to the lower sample index: rows whose ``k``-th distance recurs
-    past the ``argpartition`` pick are re-picked with a stable sort.
+    Ties go to the lower sample index: rows whose ``max(ks)``-th distance
+    recurs past the ``argpartition`` pick are re-picked with a stable sort,
+    and for a smaller k the picks are ordered by (distance, index).
     """
-    if k >= dist.shape[1]:
-        return np.full(dist.shape[0], y.mean())
-    nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    estimates = y[nearest].mean(axis=1)
-    kth = dist[np.arange(dist.shape[0]), nearest[:, k - 1]]
+    top = max(ks)
+    nearest = np.argpartition(dist, top - 1, axis=1)[:, :top]
+    kth = dist[np.arange(dist.shape[0]), nearest[:, top - 1]]
     within = dist <= kth[:, None]
-    # every row has at least k samples within its k-th distance
-    if np.count_nonzero(within) > within.shape[0] * k:
-        tied = np.count_nonzero(within, axis=1) > k
-        stable = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
-        estimates[tied] = y[stable].mean(axis=1)
-    return estimates
+    # every row has at least top samples within its top-th distance
+    if np.count_nonzero(within) > within.shape[0] * top:
+        tied = np.count_nonzero(within, axis=1) > top
+        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :top]
+    if min(ks) < top:
+        near = np.take_along_axis(dist, nearest, axis=1)
+        nearest = np.take_along_axis(nearest, np.lexsort((nearest, near)), axis=1)
+    sums = np.cumsum(y[nearest], axis=1)
+    return np.stack([sums[:, k - 1] / k for k in ks])
 
 
 # the doubles ordered as int64: sign-magnitude bits, negative half negated
@@ -364,7 +366,7 @@ def block_estimates(
     for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
         dist = cdist(Q, x[a:b])
         if family is EstimatorFamily.KNN:
-            estimates[j] = knn_mean(dist, y[a:b], int(h_or_k))
+            estimates[j] = knn_mean(dist, y[a:b], [int(h_or_k)])[0]
         else:
             _, degenerate[j] = nwk_mean(dist, y[a:b], kind, h_or_k, estimates[j])
             active[j] = dist.min(axis=1) <= h_or_k

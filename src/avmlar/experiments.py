@@ -88,6 +88,13 @@ _SCENARIOS = {
 }
 
 
+def _positive_int(label: str, value: float) -> int:
+    """``value`` as an int; raises unless it is a positive whole number."""
+    if not 1 <= value < np.inf or value != int(value):
+        raise ValueError(f"{label} must be positive and integral, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one sweep; everything downstream derives from it."""
@@ -104,13 +111,15 @@ class ExperimentConfig:
     mesh_candidate_cap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.t < 1:
-            raise ValueError(f"test size t must be >= 1, got {self.t}")
-        cap = self.mesh_candidate_cap
-        if cap is not None and cap < 1:
-            raise ValueError(f"mesh_candidate_cap must be >= 1, got {cap}")
+        road = self.scenario is Scenario.ROAD
+        if self.n is None and not road:
+            raise ValueError("n must be positive (None: every road row), got None")
+        # None: every road row (n), no cap on the covering-radius candidates
+        for name in ("trials", "t", "n", "mesh_candidate_cap"):
+            value = getattr(self, name)
+            if value is not None:
+                label = "test size t" if name == "t" else name
+                object.__setattr__(self, name, _positive_int(label, value))
         if any(not 1 <= m < np.inf or m != int(m) for m in self.m_grid):
             raise ValueError(f"every m must be a positive integer, got {self.m_grid}")
         grid = tuple(int(m) for m in self.m_grid)
@@ -125,11 +134,8 @@ class ExperimentConfig:
                 f"{self.scenario.value} data have dimension "
                 f"{' or '.join(map(str, dims))}, not d={self.estimator.d}"
             )
-        road = self.scenario is Scenario.ROAD
         if road and self.data_path is None:
             raise ValueError("ROAD scenario requires data_path")
-        if not (self.n is None and road or self.n is not None and self.n >= 1):
-            raise ValueError(f"n must be positive (None: every road row), got {self.n}")
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, **overrides) -> "ExperimentConfig":

@@ -35,10 +35,15 @@ class PartitionedDataset:
     def from_indices(
         cls, dataset: Dataset, indices: list[np.ndarray]
     ) -> PartitionedDataset:
-        """Block ``j`` is rows ``indices[j]`` of ``dataset``; no block may be empty."""
+        """Block ``j`` is rows ``indices[j]`` of ``dataset``.
+
+        No block may be empty, and the rows must be distinct rows of the parent.
+        """
         if not indices or min(len(idx) for idx in indices) < 1:
             raise ValueError("every block must hold at least one row")
         rows = np.concatenate(indices)
+        if rows.min() < 0 or rows.max() >= dataset.n or np.bincount(rows).max() > 1:
+            raise ValueError(f"block rows must be distinct rows in [0, {dataset.n})")
         offsets = np.cumsum([0] + [len(idx) for idx in indices])
         return cls(dataset.subset(rows), rows, offsets)
 

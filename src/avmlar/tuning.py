@@ -5,12 +5,10 @@ by fitting the single-machine estimator on the remaining folds (parameter
 rule applied at the training-fold size) and averaging the held-out MSE.
 The winner is the grid argmin, ties going to the smaller constant.
 
-NWK constants, naive and Gaussian, are scored by the prediction engine:
-the training folds form one block and ``block_estimates`` predicts the
-held-out fold, so naive d=1 CV runs on the sorted-window path. k-NN keeps
-one stable argsort of the fold distance matrix, whose response prefix sums
-give the mean for every candidate k at once (ties to the lower sample
-index, as in ``knn_mean``); ``knn_mean`` would redo the search per k.
+Every constant is scored by the prediction engine. For NWK, naive and
+Gaussian, the training folds form one block and ``block_estimates``
+predicts the held-out fold, so naive d=1 CV runs on the sorted-window
+path. For k-NN, one ``knn_mean`` call per fold scores every candidate k.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .avm import _rule_h_or_k, block_estimates
+from .avm import _rule_h_or_k, block_estimates, knn_mean
 from .core import Dataset, EstimatorConfig, EstimatorFamily, mse
 # kernel_profile is unused here but traced on this module by perfbench/spans.py
 from .kernels import kernel_profile  # noqa: F401
@@ -79,14 +77,14 @@ def cv_score_grid(
             for c in cv.grid
         ]
         if config.family is EstimatorFamily.KNN:
-            order = np.argsort(cdist(test_x, train.x), axis=1, kind="stable")
-            prefix = np.cumsum(train.y[order], axis=1)
-            for gi, k in enumerate(map(int, params)):
-                scores[gi, i] = mse(prefix[:, k - 1] / k, test_y)
+            ks = [int(k) for k in params]
+            estimates = knn_mean(cdist(test_x, train.x), train.y, ks)
         else:
-            for gi, h in enumerate(params):
-                estimates, _, _ = block_estimates(block, config.family, h, test_x)
-                scores[gi, i] = mse(estimates[0], test_y)
+            estimates = [
+                block_estimates(block, config.family, h, test_x)[0][0] for h in params
+            ]
+        for gi, fold_estimates in enumerate(estimates):
+            scores[gi, i] = mse(fold_estimates, test_y)
     return scores.mean(axis=1)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import oracles
 from avmlar import (
@@ -22,6 +23,7 @@ from avmlar import (
     predict_batch,
     random_partition,
 )
+from avmlar.avm import knn_mean
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
 
@@ -251,6 +253,28 @@ def test_knn_variants_coincide():
         vals[variant] = predict_batch(model, q).values
     np.testing.assert_array_equal(vals[Variant.A1_PLAIN], vals[Variant.A2_DATA_DEPENDENT])
     np.testing.assert_array_equal(vals[Variant.A1_PLAIN], vals[Variant.A3_QUALIFIED])
+
+
+def test_knn_mean_over_a_k_grid_matches_oracle():
+    # dyadic lattice: each input three times, at scattered indices, and queries
+    # on and halfway between inputs, so distances tie exactly; every k from 1
+    # to n, k = n included
+    rng = np.random.default_rng(12)
+    x = rng.permutation(np.repeat(np.arange(7) / 8, 3))
+    y = rng.integers(-1000, 1000, x.size) / 100
+    queries = np.arange(-2, 16) / 16
+    dist = cdist(queries[:, None], x[:, None])
+    ks = list(range(1, x.size + 1))
+    grid = knn_mean(dist, y, ks)
+    assert grid.shape == (len(ks), len(queries))
+    xs, tol = [(v,) for v in x], 1e-12 * np.abs(y).max()
+    for k, row in zip(ks, grid):
+        expected = [oracles.knn_estimate(xs, list(y), k, (q,)) for q in queries]
+        np.testing.assert_allclose(row, expected, rtol=0, atol=tol)
+        # a one-k call selects the same samples
+        np.testing.assert_allclose(knn_mean(dist, y, [k])[0], row, rtol=0, atol=tol)
+    # rows follow the order of ks, which need not be sorted
+    np.testing.assert_array_equal(knn_mean(dist, y, [5, 2, 9]), grid[[4, 1, 8]])
 
 
 def test_batch_matches_scalar_api():

@@ -169,27 +169,35 @@ def test_summary_column_order():
     )
 
 
+def csv_twice(config, tmp_path):
+    """Two result CSVs of the same config, as lines without ``# generated_at``."""
+    runs = []
+    for i in range(2):
+        p = tmp_path / f"run{i}.csv"
+        write_result_csv(run_experiment(config), p)
+        lines = p.read_bytes().split(b"\n")
+        runs.append([line for line in lines if not line.startswith(b"# generated_at")])
+    return runs
+
+
 def test_result_csv_deterministic_modulo_timestamp(tmp_path):
     config = ExperimentConfig.for_scenario(
         Scenario.SIM1_VARIANTS, n=150, t=40, trials=2, m_grid=(1, 3), base_seed=6
     )
-    paths = []
-    for i in range(2):
-        p = tmp_path / f"run{i}.csv"
-        write_result_csv(run_experiment(config), p)
-        paths.append(p)
-
-    def stripped(p):
-        return [
-            line
-            for line in p.read_bytes().split(b"\n")
-            if not line.startswith(b"# generated_at")
-        ]
-
-    assert stripped(paths[0]) == stripped(paths[1])
-    header = paths[0].read_text().splitlines()
+    first, second = csv_twice(config, tmp_path)
+    assert first == second
+    header = (tmp_path / "run0.csv").read_text().splitlines()
     assert header[0].startswith("# config:")
     assert any(line.startswith("# generated_at:") for line in header[:3])
+
+
+def test_knn_cv_sweep_csv_is_deterministic(tmp_path):
+    config = ExperimentConfig.for_scenario(
+        Scenario.SIM1_KNN, n=300, t=40, trials=2, m_grid=(1, 4, 12), base_seed=8,
+        cv=CvConfig((0.1, 0.4, 1.6), folds=3, seed=2),
+    )
+    first, second = csv_twice(config, tmp_path)
+    assert first == second
 
 
 def test_summary_csv_and_text(tmp_path):
@@ -261,6 +269,16 @@ def test_config_validation():
     )
     with pytest.raises(ValueError):
         run_experiment(config)  # m exceeds training size
+
+
+@pytest.mark.parametrize("field", ["n", "t", "trials", "mesh_candidate_cap"])
+def test_config_rejects_non_integral_counts(field):
+    # a float count would reach numpy as an array size and raise TypeError there
+    for bad in (300.5, np.inf):
+        with pytest.raises(ValueError, match="integral"):
+            ExperimentConfig.for_scenario(Scenario.SIM1_NWK, m_grid=(2,), **{field: bad})
+    whole = ExperimentConfig.for_scenario(Scenario.SIM1_NWK, m_grid=(2,), **{field: 300.0})
+    assert type(getattr(whole, field)) is int
 
 
 def test_grid_checked_before_cv(monkeypatch):

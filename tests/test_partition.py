@@ -91,6 +91,10 @@ def test_from_indices_rejects_an_empty_block():
         PartitionedDataset.from_indices(ds, [np.array([0, 1]), np.array([], dtype=int)])
     with pytest.raises(ValueError):
         PartitionedDataset.from_indices(ds, [])
+    # blocks are disjoint rows of the parent: no repeats, nothing out of range
+    for bad in ([[0, 0], [1]], [[0, 1], [1]], [[0], [-1]], [[0], [4]]):
+        with pytest.raises(ValueError, match="distinct rows"):
+            PartitionedDataset.from_indices(ds, [np.array(idx) for idx in bad])
 
 
 def test_partition_rejects_m_out_of_range():

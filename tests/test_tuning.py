@@ -122,9 +122,17 @@ def test_nwk_scores_match_exhaustive_rescoring(family, d):
     assert cv_select_constant(ds, cfg, cv) == cv.grid[int(np.argmin(slow))]
 
 
-def test_knn_scores_match_exhaustive_rescoring():
+@pytest.mark.parametrize("data", ["g1", "lattice"])
+def test_knn_scores_match_exhaustive_rescoring(data):
     cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
-    ds = generate_dataset(TargetModel(TargetKind.G1), 120, 6)
+    if data == "g1":
+        ds = generate_dataset(TargetModel(TargetKind.G1), 120, 6)
+    else:
+        # x = i/8, each value repeated in shuffled order: every distance
+        # recurs, so the k-th nearest of each query is tied
+        rng = np.random.default_rng(6)
+        x = rng.permutation(np.arange(120) % 9) / 8
+        ds = Dataset(x[:, None], np.sin(4.0 * x) + 0.3 * rng.standard_normal(120))
     cv = CvConfig((0.3, 1.0, 3.0), folds=4, seed=7)
     fast = cv_score_grid(ds, cfg, cv)
     slow = _exhaustive_fold_scores(ds, cfg, cv)
