@@ -13,22 +13,33 @@ For the k-NN family the localization radius adapts per block, so every
 block is always active and all three variants coincide with A1.
 
 Every prediction path and CV score runs through the core below: ``nwk_mean``
-(dense NWK), ``_naive_sorted_1d`` (sorted naive NWK at d=1), ``knn_mean``
-(the one k-NN selector and tie rule, over a grid of k), ``block_estimates``,
-``combine``, and ``_rule_h_or_k`` for h and k.
+(dense NWK), ``_naive_sorted_1d`` and ``_knn_sorted_1d`` (sorted NWK-naive
+and k-NN at d=1), ``knn_mean`` (the one k-NN selector and tie rule, over a
+grid of k), ``block_estimates``, ``combine``, and ``_rule_h_or_k`` for h
+and k.
 
-``block_estimates`` has two paths, chosen by family and input dimension.
-The naive kernel at d=1 takes the sorted path: each block is sorted once
-per call, and a query's kernel window is the run of samples between two
-``searchsorted`` edges, summed with ``np.add.reduceat``; no query x sample
-matrix is built. Every other case (Gaussian, k-NN, d>1) takes the dense
-path over one ``cdist`` matrix per block. Both paths admit a sample when
-``|x - q| <= h`` in float arithmetic. The sorted path places its edges by
-that test (``_lower_edge``), not by ``q - h`` and ``q + h``, which can be
-off by many doubles. For finite positive ``d`` and ``h``, ``fl(d / h) <= 1``
-holds exactly when ``d <= h``, so the naive kernel weight is nonzero
-exactly when the A3 activity test holds: on the sorted path a block is
-active exactly when it is not degenerate.
+``block_estimates`` picks its path by family and input dimension. At d=1
+the naive kernel and k-NN take sorted paths over the partition's
+``x_order`` (each block sorted once per partition) and build no query x
+sample matrix. Every other case (Gaussian, d>1) takes the dense path over
+one ``cdist`` matrix per block. Every path measures the distance ``cdist``
+computes; at d=1 that is ``distance_1d``.
+
+* Naive NWK: a query's kernel window is the run of samples between two
+  ``searchsorted`` edges, summed with ``np.add.reduceat``. The edges are
+  placed by the test ``distance_1d(q, x) <= h`` itself (``_lower_edge``),
+  not by ``q - h`` and ``q + h``, which can be off by many doubles. For
+  finite positive ``d`` and ``h``, ``fl(d / h) <= 1`` holds exactly when
+  ``d <= h``, so the naive kernel weight is nonzero exactly when the A3
+  activity test holds: on this path a block is active exactly when it is
+  not degenerate.
+* k-NN: the k nearest samples lie in a window of 2k sorted samples around
+  the query. A (block, query) pair is decided by the window alone when
+  exactly k window samples lie within the k-th smallest window distance
+  and both samples just outside the window are farther; those k are then
+  the unique k nearest. Every other pair (duplicate runs or equal
+  distances at a window edge) goes to ``knn_mean``, so ties are still
+  ordered in one place.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, EstimatorConfig, EstimatorFamily
+from .core import Dataset, EstimatorConfig, EstimatorFamily, distance_1d
 from .kernels import KernelKind, kernel_profile
 from .partition import (
     PartitionedDataset,
@@ -267,32 +278,37 @@ def _double(i: np.ndarray) -> np.ndarray:
 
 
 def _lower_edge(q: np.ndarray, h: float) -> np.ndarray:
-    """Smallest double ``x`` with ``fl(q - x) <= h``, per entry of ``q``.
+    """Smallest double ``x`` with ``x >= q`` or ``distance_1d(q, x) <= h``, per ``q``.
 
-    ``fl(q - x)`` falls as ``x`` grows, so the samples with ``q - x <= h``
-    in float arithmetic are exactly those at or above this edge. ``q - h``
+    Below ``q`` the distance falls as ``x`` grows, so the samples left of
+    ``q`` within ``h`` are exactly those at or above this edge. ``q - h``
     alone can miss it by many doubles, because ``q - x`` rounds when ``x``
-    is far from ``q``, and a run of duplicate samples can sit in that gap.
-    The edge is bisected over the doubles, ordered as integers, inside a
+    is far from ``q`` and its square rounds or overflows outside the
+    normal range, and a run of duplicate samples can sit in that gap. The
+    edge is bisected over the doubles, ordered as integers, inside a
     bracket around ``q - h``; where the bracket does not hold the edge, it
     is widened to the infinities.
     """
+
+    def inside(x: np.ndarray) -> np.ndarray:
+        return (x >= q) | (distance_1d(q, x) <= h)
+
     with np.errstate(over="ignore", invalid="ignore"):
         # several times the rounding of q - h and of q - x near the edge
         delta = 2.0**-48 * (np.abs(q) + h)
         lo = _ordinal(q - h - delta)  # below the edge ...
         hi = _ordinal(q - h + delta)  # ... and at or above it
-    lo[q - _double(lo) <= h] = -_ORDINAL_INF
-    hi[~(q - _double(hi) <= h)] = _ORDINAL_INF
+    lo[inside(_double(lo))] = -_ORDINAL_INF
+    hi[~inside(_double(hi))] = _ORDINAL_INF
     while True:
         # floor((lo + hi) / 2) without int64 overflow; above lo while hi - lo > 1
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
         gap = mid > lo
         if not gap.any():
             return _double(hi)
-        inside = q - _double(mid) <= h
-        hi = np.where(gap & inside, mid, hi)
-        lo = np.where(gap & ~inside, mid, lo)
+        admit = inside(_double(mid))
+        hi = np.where(gap & admit, mid, hi)
+        lo = np.where(gap & ~admit, mid, lo)
 
 
 def _naive_sorted_1d(
@@ -300,11 +316,10 @@ def _naive_sorted_1d(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Naive-kernel block estimates and degenerate flags at 1-d queries ``q``.
 
-    A sample is in a query's window exactly when ``|x - q| <= h``. That is
-    the dense path's kernel test ``cdist / h <= 1``: at d=1 ``cdist`` is
-    ``sqrt((q - x)**2)``, which equals ``|q - x|`` while the square stays in
-    the normal range, and ``fl(d / h) <= 1`` holds exactly when ``d <= h``.
-    Block sums run in sorted-x order.
+    A sample is in a query's window exactly when ``distance_1d(q, x) <= h``.
+    That is the dense path's kernel test ``cdist / h <= 1``: at d=1
+    ``cdist`` is ``distance_1d``, and ``fl(d / h) <= 1`` holds exactly when
+    ``d <= h``. Block sums run in sorted-x order.
     """
     order = np.argsort(q, kind="stable")
     # rounding is symmetric: the upper edge at q is the lower edge at -q, negated
@@ -314,16 +329,14 @@ def _naive_sorted_1d(
     counts = np.empty(sums.shape, dtype=np.intp)
     edges = np.empty(2 * len(q), dtype=np.intp)
     left, right = edges[0::2], edges[1::2]
-    x, y = partition.data.x[:, 0], partition.data.y
+    by_x = partition.x_order
+    # one trailing sentinel makes right == n a valid reduceat index in every block
+    x, y = partition.data.x[by_x, 0], np.append(partition.data.y[by_x], 0.0)
     for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
-        by_x = np.argsort(x[a:b], kind="stable")
-        # the 0 sentinel makes right == n a valid reduceat index
-        ys = np.append(y[a:b][by_x], 0.0)
-        xs = x[a:b][by_x]
-        left[:] = np.searchsorted(xs, lower, side="left")
-        right[:] = np.searchsorted(xs, upper, side="right")
+        left[:] = np.searchsorted(x[a:b], lower, side="left")
+        right[:] = np.searchsorted(x[a:b], upper, side="right")
         # an empty window (left == right) sums one element; it is masked below
-        sums[j] = np.add.reduceat(ys, edges)[0::2]
+        sums[j] = np.add.reduceat(y[a : b + 1], edges)[0::2]
         counts[j] = right - left
     empty = counts == 0
     estimates = np.empty(sums.shape)
@@ -333,6 +346,78 @@ def _naive_sorted_1d(
     )
     degenerate[:, order] = empty
     return estimates, degenerate
+
+
+# entries of one window array of ``_knn_sorted_1d``: 1 MiB of float64, so the
+# arrays stay in cache and memory stays bounded as m grows
+_KNN_WINDOW_ELEMENTS = 2**17
+
+
+def _knn_sorted_1d(partition: PartitionedDataset, k: int, q: np.ndarray) -> np.ndarray:
+    """k-NN block estimates at 1-d queries ``q``, shape (m, len(q)).
+
+    In a block sorted by x the k nearest samples of q lie among the 2k
+    around q's place, so each (block, query) pair reads a window of
+    w = min(2k, smallest block) samples starting at ``pos - k``, clipped to
+    the block. Let D be the k-th smallest window distance. Distances fall
+    then rise across the block, so when exactly k window samples lie
+    within D and both samples just outside the window are farther, those k
+    are the only k nearest and their mean needs no tie rule. Every other
+    pair (a duplicate run, or equal distances on both sides of q, at or
+    past a window edge) goes to ``knn_mean`` over its block, which orders
+    the ties. Window sums run in sorted-x order. Blocks are taken in groups
+    of at most ``_KNN_WINDOW_ELEMENTS`` window entries.
+    """
+    m, order = partition.m, np.argsort(q, kind="stable")
+    qs = q[order]
+    offsets, by_x = partition.offsets, partition.x_order
+    x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
+    w = min(2 * k, partition.min_block_size)
+    estimates = np.empty((m, len(q)))
+    decided = np.empty(estimates.shape, dtype=bool)
+    step = max(1, _KNN_WINDOW_ELEMENTS // ((len(q) + 1) * (w + 2)))
+    for j in range(0, m, step):
+        a, b = offsets[j], offsets[min(j + step, m)]
+        group = offsets[j : j + step + 1] - a
+        means, decided[j : j + step] = _knn_windows(x[a:b], y[a:b], group, k, w, qs)
+        estimates[j : j + step, order] = means
+    x, y = partition.data.x, partition.data.y
+    for j in np.flatnonzero(~decided.all(axis=1)):
+        a, b = offsets[j : j + 2]
+        rows = order[~decided[j]]
+        estimates[j, rows] = knn_mean(cdist(q[rows, None], x[a:b]), y[a:b], [k])[0]
+    return estimates
+
+
+def _knn_windows(
+    x: np.ndarray, y: np.ndarray, offsets: np.ndarray, k: int, w: int, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window means and decided flags, shape (blocks, len(q)), at sorted ``q``.
+
+    ``x`` and ``y`` hold the blocks ``offsets`` delimits, each sorted by x.
+    """
+    m, t = len(offsets) - 1, len(q)
+    starts, sizes = offsets[:-1, None], np.diff(offsets)[:, None]
+    # pos[j, i]: the samples of block j below query i. A sample is below the
+    # sorted queries from the first one above it on, so count per block the
+    # samples whose first query above is each query, and accumulate
+    above = np.searchsorted(q, x, side="right")
+    block = np.repeat(np.arange(m), sizes[:, 0])
+    counts = np.bincount(block * (t + 1) + above, minlength=m * (t + 1))
+    pos = counts.reshape(m, t + 1).cumsum(axis=1)[:, :t]
+    first = np.clip(pos - k, 0, sizes - w) + starts
+    # the window with one sample either side; a side past the block end is inf
+    idx = first + np.arange(-1, w + 1)[:, None, None]
+    dist = distance_1d(q, x.take(idx, mode="clip"))
+    dist[0][first == starts] = np.inf
+    dist[-1][first + w == starts + sizes] = np.inf
+    window = dist[1:-1]
+    # over a run of k the larger end distance is the run's largest, and the
+    # least of those over the window's runs is its k-th smallest distance
+    kth = np.maximum(window[: w - k + 1], window[k - 1 :]).min(axis=0)
+    within = window <= kth
+    decided = (within.sum(axis=0) == k) & (dist[0] > kth) & (dist[-1] > kth)
+    return np.where(within, y.take(idx[1:-1]), 0.0).sum(axis=0) / k, decided
 
 
 def block_estimates(
@@ -348,16 +433,23 @@ def block_estimates(
     with a sample within ``h`` of the query (every k-NN block is active
     and none is degenerate).
 
-    The naive kernel at d=1 takes the sorted path (``_naive_sorted_1d``),
-    whose window edges are the exact bounds of ``|fl(q - x)| <= h``
+    At d=1 the naive kernel and k-NN take sorted paths, which build no
+    query x sample matrix. The naive path (``_naive_sorted_1d``) sums the
+    window between the exact bounds of ``distance_1d(q, x) <= h``
     (``_lower_edge``). Its kernel weight is nonzero exactly when that test,
-    the active test, holds, so there ``active`` is ``~degenerate``. Every
-    other case builds one ``cdist`` matrix per block.
+    the active test, holds, so there ``active`` is ``~degenerate``. The
+    k-NN path (``_knn_sorted_1d``) averages the k nearest samples when a
+    window of 2k around the query decides them alone, and sends every
+    other (block, query) pair to ``knn_mean``. Every other case builds one
+    ``cdist`` matrix per block.
     """
-    if family is EstimatorFamily.NWK_NAIVE and Q.shape[1] == 1:
+    shape = (partition.m, Q.shape[0])
+    if Q.shape[1] == 1 and family is EstimatorFamily.NWK_NAIVE:
         estimates, degenerate = _naive_sorted_1d(partition, h_or_k, Q[:, 0])
         return estimates, ~degenerate, degenerate
-    shape = (partition.m, Q.shape[0])
+    if Q.shape[1] == 1 and family is EstimatorFamily.KNN:
+        estimates = _knn_sorted_1d(partition, int(h_or_k), Q[:, 0])
+        return estimates, np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
     estimates = np.zeros(shape)
     active = np.ones(shape, dtype=bool)
     degenerate = np.zeros(shape, dtype=bool)

@@ -130,6 +130,18 @@ class Dataset:
         )
 
 
+def distance_1d(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distances between 1-d points as ``cdist`` computes them, ``sqrt((q - x)**2)``.
+
+    This is ``|q - x|`` while the square is a normal double. A subnormal
+    square rounds and a huge one overflows to inf, and ``|q - x|`` would
+    then admit other samples than the dense path does.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        dist = np.subtract(q, x)
+        return np.sqrt(np.square(dist, out=dist), out=dist)
+
+
 def mse(predictions: Sequence[float], targets: Sequence[float]) -> float:
     """Mean squared error between two equal-length sequences."""
     p = np.asarray(predictions, dtype=np.float64).reshape(-1)

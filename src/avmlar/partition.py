@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Dataset
+from .core import Dataset, distance_1d
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,16 @@ class PartitionedDataset:
     @property
     def min_block_size(self) -> int:
         return int(np.diff(self.offsets).min())
+
+    @functools.cached_property
+    def x_order(self) -> np.ndarray:
+        """Rows of ``data`` that sort each block by x at d=1, ties in block order.
+
+        One stable sort keyed by (block, x); block ``j`` keeps rows
+        ``offsets[j]:offsets[j+1]`` of the result.
+        """
+        block = np.repeat(np.arange(self.m), np.diff(self.offsets))
+        return np.lexsort((self.data.x[:, 0], block))
 
     @functools.cached_property
     def blocks(self) -> tuple[Dataset, ...]:
@@ -103,7 +113,9 @@ def mesh_norm_report(
     Each radius is the ``max`` over candidates of the Euclidean distance to
     the nearest block sample; this lower-bounds the continuous covering
     radius. At d=1 the nearest sample is a neighbour of the candidate's
-    place in the sorted block; for d>1 it is found with a k-d tree.
+    place in the block sorted by ``x_order``, and the radius is measured
+    with ``distance_1d``, as ``cdist`` measures it; for d>1 the nearest
+    sample is found with a k-d tree.
     """
     cand = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     if cand.shape[0] < 1:
@@ -112,15 +124,18 @@ def mesh_norm_report(
     if cand.shape[1] != x.shape[1]:
         raise ValueError(f"candidates have dimension {cand.shape[1]}, not {x.shape[1]}")
     radii = np.empty(partition.m)
-    c = cand[:, 0]
-    for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
-        if x.shape[1] > 1:
+    if x.shape[1] > 1:
+        for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
             radii[j] = np.max(cKDTree(x[a:b]).query(cand)[0])
-            continue
-        xs = np.sort(x[a:b, 0])
-        pos = np.searchsorted(xs, c)
+        return radii
+    c = cand[:, 0]
+    xs = x[partition.x_order, 0]
+    for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
+        block = xs[a:b]
+        pos = np.searchsorted(block, c)
         # clipped at the ends, both neighbours are the one nearest sample
-        below = c - xs[np.maximum(pos - 1, 0)]
-        above = xs[np.minimum(pos, b - a - 1)] - c
+        below = c - block[np.maximum(pos - 1, 0)]
+        above = block[np.minimum(pos, b - a - 1)] - c
         radii[j] = np.max(np.minimum(np.abs(below), np.abs(above)))
-    return radii
+    # the distance grows with the gap, so the largest least gap gives the radius
+    return distance_1d(radii, 0.0)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,92 @@ def test_naive_window_edge_holds_duplicate_run():
             batch = predict_batch(model, queries)
             blocks = oracle_blocks(model)
             assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
+
+
+KNN = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
+
+
+def assert_knn_matches_oracle(ds, queries, ms, seed=0):
+    """k-NN ``predict_batch`` against the oracle at k = 1, 3 and the smallest block."""
+    tol = 1e-12 * np.abs(ds.y).max()
+    for m in ms:
+        part = random_partition(ds, m, seed)
+        for k in sorted({1, min(3, part.min_block_size), part.min_block_size}):
+            model = AvmModel(part, KNN, Variant.A1_PLAIN, k)
+            blocks = oracle_blocks(model)
+            with np.errstate(over="ignore"):  # the oracle squares past the range
+                expected = [oracles.avm_knn(blocks, k, q) for q in queries]
+            got = predict_batch(model, queries).values
+            np.testing.assert_allclose(
+                got, expected, rtol=0, atol=tol, err_msg=f"{m=} {k=}"
+            )
+
+
+def test_knn_window_edges_match_oracle():
+    rng = np.random.default_rng(13)
+    # every input of a 1/8 lattice four times, at scattered indices: duplicate
+    # runs straddle both window edges, and queries halfway between inputs see
+    # equal distances on both sides, the left sample often the later one
+    lattice = rng.permutation(np.repeat(np.arange(9) / 8, 4))
+    lattice_q = np.arange(-20, 29) / 16  # beyond both ends of every block
+    # distinct inputs at equal rounded distance: 1 - x rounds to 1 for all of
+    # them, and at 1e-160 the squares of distinct gaps round to one subnormal
+    # or to 0, where |q - x| would tell them apart
+    near_zero = rng.permutation([0.0, 1e-17, 2e-17, 3e-17] * 3 + [2.0] * 4)
+    tiny = 1e-160 * rng.permutation(np.repeat(1 + rng.integers(0, 8, 12) * 2.0**-12, 3))
+    cases = (
+        (lattice, lattice_q),
+        (near_zero, np.array([1.0, -1.0, 1.5, 0.5])),
+        (tiny, 1e-160 * np.array([0.0, 0.5, 1.0, 1.001, 1.002, 3.0])),
+    )
+    for x, queries in cases:
+        ds = Dataset(x[:, None], rng.integers(-1000, 1000, x.size) / 100.0)
+        assert_knn_matches_oracle(ds, queries[:, None], ms=(1, 2, 7))
+
+
+@pytest.mark.parametrize("scale, spread", [(1e-160, 1.0), (1e160, 1e-5)])
+def test_sorted_paths_match_oracle_outside_the_normal_range(scale, spread):
+    # at 1e-160 the squared gaps are subnormal and round; at 1e160 gaps past
+    # 1.3e154 square to inf. Every path must use cdist's distance there, not |q - x|.
+    rng = np.random.default_rng(14)
+    x = scale * (0.5 + spread * rng.uniform(-0.5, 0.5, 60))
+    x[-6:] = x[:6]  # duplicate inputs
+    ds = Dataset(x[:, None], rng.normal(size=x.size))
+    queries = scale * (0.5 + spread * rng.uniform(-0.7, 0.7, 50))[:, None]
+    cand = scale * (0.5 + spread * np.linspace(-0.7, 0.7, 41))[:, None]
+    h = scale * spread * 0.3
+    tol = 1e-12 * np.abs(ds.y).max()
+    for m in (1, 3):
+        part = random_partition(ds, m, 1)
+        blocks = [([tuple(r) for r in b.x], list(b.y)) for b in part.blocks]
+        with np.errstate(over="ignore"):  # the oracle squares past the range
+            for variant, fn in (
+                (Variant.A1_PLAIN, oracles.avm_a1_nwk),
+                (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),
+            ):
+                batch = predict_batch(AvmModel(part, NWK, variant, h), queries)
+                assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
+            points = [tuple(c) for c in cand]
+            expected = [oracles.mesh_norm(xs, points) for xs, _ in blocks]
+        assert mesh_norm_report(part, cand).tolist() == expected
+    assert_knn_matches_oracle(ds, queries, ms=(1, 3))
+
+
+@pytest.mark.parametrize("n, m, k, t", [(50_000, 1, 32, 1000), (20_000, 10_000, 1, 50)])
+def test_knn_memory_is_bounded(n, m, k, t):
+    # one block: query x sample distance and argpartition matrices would take
+    # 800 MB. Many blocks: windows over all (block, query) pairs at once would
+    # take 68 MiB
+    ds = uniform_dataset(n, seed=15)
+    model = fit_avm(ds, KNN, m, 0, k=k)
+    queries = np.random.default_rng(15).random((t, 1))
+    tracemalloc.start()
+    try:
+        predict_batch(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # dyadic lattice (multiples of 1/8): distances are exact, so distance ties,

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,20 @@ def test_mesh_norm_1d_is_exact():
             x[-1] = x[0]  # at least one duplicate input
         expected = oracles.mesh_norm([tuple(r) for r in x], [tuple(r) for r in cand])
         assert one_block_radius(Dataset(x, np.zeros(n)), cand) == expected
+
+
+def test_x_order_sorts_each_block_stably():
+    # a 1/4 lattice: many equal inputs in every block keep their block order
+    rng = np.random.default_rng(11)
+    ds = Dataset(rng.integers(0, 5, 40)[:, None] / 4, np.zeros(40))
+    part = random_partition(ds, 3, 2)
+    x = part.data.x[:, 0]
+    expected = [
+        a + np.argsort(x[a:b], kind="stable")
+        for a, b in itertools.pairwise(part.offsets)
+    ]
+    assert np.array_equal(part.x_order, np.concatenate(expected))
+    assert part.x_order is part.x_order  # sorted once per partition
 
 
 def test_mesh_norm_memory_is_bounded():
