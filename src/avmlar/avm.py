@@ -18,12 +18,14 @@ and k-NN at d=1), ``knn_mean`` (the one k-NN selector and tie rule, over a
 grid of k), ``block_estimates``, ``combine``, and ``_rule_h_or_k`` for h
 and k.
 
-``block_estimates`` picks its path by family and input dimension. At d=1
-the naive kernel and k-NN take sorted paths over the partition's
-``x_order`` (each block sorted once per partition) and build no query x
-sample matrix. Every other case (Gaussian, d>1) takes the dense path over
-one ``cdist`` matrix per block. Every path measures the distance ``cdist``
-computes; at d=1 that is ``distance_1d``.
+``block_estimates`` takes a grid of h or k and returns (P, m, q) arrays,
+one row per parameter, reading the partition once for the grid. It picks
+its path by family and input dimension. At d=1 the naive kernel and k-NN
+take sorted paths over the partition's ``x_order`` (each block sorted once
+per partition) and build no query x sample matrix. Every other case
+(Gaussian, d>1) takes the dense path over one ``cdist`` matrix per block.
+Every path measures the distance ``cdist`` computes; at d=1 that is
+``distance_1d``.
 
 * Naive NWK: a query's kernel window is the run of samples between two
   ``searchsorted`` edges, summed with ``np.add.reduceat``. The edges are
@@ -219,31 +221,27 @@ def _query_matrix(X: np.ndarray, d: int) -> np.ndarray:
 
 
 def nwk_mean(
-    dist: np.ndarray,
-    y: np.ndarray,
-    kind: KernelKind,
-    h: float,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """NWK estimates and degenerate flags (estimate 0) per row of ``dist``.
+    dist: np.ndarray, y: np.ndarray, kind: KernelKind, h: float, out: np.ndarray
+) -> np.ndarray:
+    """Write NWK estimates per row of ``dist`` into ``out``; return degenerate flags.
 
-    A given ``out`` must be zero-filled; it saves a copy per block.
+    ``out`` must be zero-filled: a degenerate row (every kernel weight 0)
+    keeps its estimate 0.
     """
     raw = kernel_profile(kind, dist / h)
     den = raw.sum(axis=1)
-    num = raw @ y
     ok = den > 0.0
-    if out is None:
-        out = np.zeros_like(num)
-    return np.divide(num, den, out=out, where=ok), ~ok
+    np.divide(raw @ y, den, out=out, where=ok)
+    return ~ok
 
 
 def knn_mean(dist: np.ndarray, y: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     """Mean response of the k nearest samples per row of ``dist``, shape (len(ks), rows).
 
     Ties go to the lower sample index: rows whose ``max(ks)``-th distance
-    recurs past the ``argpartition`` pick are re-picked with a stable sort,
-    and for a smaller k the picks are ordered by (distance, index).
+    recurs past the ``argpartition`` pick are re-picked with a stable sort.
+    The picks are summed in (distance, index) order, so each k's row is
+    bitwise the same whatever the other ks.
     """
     top = max(ks)
     nearest = np.argpartition(dist, top - 1, axis=1)[:, :top]
@@ -253,9 +251,8 @@ def knn_mean(dist: np.ndarray, y: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     if np.count_nonzero(within) > within.shape[0] * top:
         tied = np.count_nonzero(within, axis=1) > top
         nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :top]
-    if min(ks) < top:
-        near = np.take_along_axis(dist, nearest, axis=1)
-        nearest = np.take_along_axis(nearest, np.lexsort((nearest, near)), axis=1)
+    near = np.take_along_axis(dist, nearest, axis=1)
+    nearest = np.take_along_axis(nearest, np.lexsort((nearest, near)), axis=1)
     sums = np.cumsum(y[nearest], axis=1)
     return np.stack([sums[:, k - 1] / k for k in ks])
 
@@ -312,9 +309,9 @@ def _lower_edge(q: np.ndarray, h: float) -> np.ndarray:
 
 
 def _naive_sorted_1d(
-    partition: PartitionedDataset, h: float, q: np.ndarray
+    partition: PartitionedDataset, hs: Sequence[float], q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Naive-kernel block estimates and degenerate flags at 1-d queries ``q``.
+    """Naive-kernel block estimates and degenerate flags, shape (len(hs), m, len(q)).
 
     A sample is in a query's window exactly when ``distance_1d(q, x) <= h``.
     That is the dense path's kernel test ``cdist / h <= 1``: at d=1
@@ -323,8 +320,10 @@ def _naive_sorted_1d(
     """
     order = np.argsort(q, kind="stable")
     # rounding is symmetric: the upper edge at q is the lower edge at -q, negated
-    bounds = _lower_edge(np.concatenate([q[order], -q[order]]), h)
-    lower, upper = bounds[: len(q)], -bounds[len(q) :]
+    both = np.concatenate([q[order], -q[order]])
+    estimates = np.empty((len(hs), partition.m, len(q)))
+    degenerate = np.empty(estimates.shape, dtype=bool)
+    # one h at a time, so the grid adds no temporaries
     sums = np.empty((partition.m, len(q)))
     counts = np.empty(sums.shape, dtype=np.intp)
     edges = np.empty(2 * len(q), dtype=np.intp)
@@ -332,19 +331,20 @@ def _naive_sorted_1d(
     by_x = partition.x_order
     # one trailing sentinel makes right == n a valid reduceat index in every block
     x, y = partition.data.x[by_x, 0], np.append(partition.data.y[by_x], 0.0)
-    for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
-        left[:] = np.searchsorted(x[a:b], lower, side="left")
-        right[:] = np.searchsorted(x[a:b], upper, side="right")
-        # an empty window (left == right) sums one element; it is masked below
-        sums[j] = np.add.reduceat(y[a : b + 1], edges)[0::2]
-        counts[j] = right - left
-    empty = counts == 0
-    estimates = np.empty(sums.shape)
-    degenerate = np.empty(sums.shape, dtype=bool)
-    estimates[:, order] = np.divide(
-        sums, counts, out=np.zeros(sums.shape), where=~empty
-    )
-    degenerate[:, order] = empty
+    for p, h in enumerate(hs):
+        bounds = _lower_edge(both, h)
+        lower, upper = bounds[: len(q)], -bounds[len(q) :]
+        for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
+            left[:] = np.searchsorted(x[a:b], lower, side="left")
+            right[:] = np.searchsorted(x[a:b], upper, side="right")
+            # an empty window (left == right) sums one element; it is zeroed below
+            sums[j] = np.add.reduceat(y[a : b + 1], edges)[0::2]
+            counts[j] = right - left
+        empty = counts == 0
+        np.divide(sums, counts, out=sums, where=~empty)
+        sums[empty] = 0.0
+        estimates[p][:, order] = sums
+        degenerate[p][:, order] = empty
     return estimates, degenerate
 
 
@@ -353,8 +353,10 @@ def _naive_sorted_1d(
 _KNN_WINDOW_ELEMENTS = 2**17
 
 
-def _knn_sorted_1d(partition: PartitionedDataset, k: int, q: np.ndarray) -> np.ndarray:
-    """k-NN block estimates at 1-d queries ``q``, shape (m, len(q)).
+def _knn_sorted_1d(
+    partition: PartitionedDataset, ks: Sequence[int], q: np.ndarray
+) -> np.ndarray:
+    """k-NN block estimates at 1-d queries ``q``, shape (len(ks), m, len(q)).
 
     In a block sorted by x the k nearest samples of q lie among the 2k
     around q's place, so each (block, query) pair reads a window of
@@ -372,20 +374,21 @@ def _knn_sorted_1d(partition: PartitionedDataset, k: int, q: np.ndarray) -> np.n
     qs = q[order]
     offsets, by_x = partition.offsets, partition.x_order
     x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
-    w = min(2 * k, partition.min_block_size)
-    estimates = np.empty((m, len(q)))
+    estimates = np.empty((len(ks), m, len(q)))
     decided = np.empty(estimates.shape, dtype=bool)
-    step = max(1, _KNN_WINDOW_ELEMENTS // ((len(q) + 1) * (w + 2)))
-    for j in range(0, m, step):
-        a, b = offsets[j], offsets[min(j + step, m)]
-        group = offsets[j : j + step + 1] - a
-        means, decided[j : j + step] = _knn_windows(x[a:b], y[a:b], group, k, w, qs)
-        estimates[j : j + step, order] = means
+    for p, k in enumerate(ks):
+        w = min(2 * k, partition.min_block_size)
+        step = max(1, _KNN_WINDOW_ELEMENTS // ((len(q) + 1) * (w + 2)))
+        for j in range(0, m, step):
+            a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
+            group = offsets[j : j + step + 1] - a
+            means, decided[p, blocks] = _knn_windows(x[a:b], y[a:b], group, k, w, qs)
+            estimates[p][blocks, order] = means
     x, y = partition.data.x, partition.data.y
-    for j in np.flatnonzero(~decided.all(axis=1)):
+    for p, j in zip(*np.nonzero(~decided.all(axis=2))):
         a, b = offsets[j : j + 2]
-        rows = order[~decided[j]]
-        estimates[j, rows] = knn_mean(cdist(q[rows, None], x[a:b]), y[a:b], [k])[0]
+        rows = order[~decided[p, j]]
+        estimates[p, j, rows] = knn_mean(cdist(q[rows, None], x[a:b]), y[a:b], [ks[p]])[0]
     return estimates
 
 
@@ -408,47 +411,50 @@ def _knn_windows(
     first = np.clip(pos - k, 0, sizes - w) + starts
     # the window with one sample either side; a side past the block end is inf
     idx = first + np.arange(-1, w + 1)[:, None, None]
-    dist = distance_1d(q, x.take(idx, mode="clip"))
+    dist = x.take(idx, mode="clip")
+    distance_1d(q, dist, out=dist)
     dist[0][first == starts] = np.inf
     dist[-1][first + w == starts + sizes] = np.inf
     window = dist[1:-1]
     # over a run of k the larger end distance is the run's largest, and the
     # least of those over the window's runs is its k-th smallest distance
     kth = np.maximum(window[: w - k + 1], window[k - 1 :]).min(axis=0)
-    within = window <= kth
-    decided = (within.sum(axis=0) == k) & (dist[0] > kth) & (dist[-1] > kth)
-    return np.where(within, y.take(idx[1:-1]), 0.0).sum(axis=0) / k, decided
+    outside = window > kth
+    decided = (outside.sum(axis=0) == w - k) & (dist[0] > kth) & (dist[-1] > kth)
+    # responses overwrite distances: allocating window arrays is most of the cost
+    ys = y.take(idx[1:-1], out=window, mode="clip")
+    np.copyto(ys, 0.0, where=outside)
+    return ys.sum(axis=0) / k, decided
 
 
 def block_estimates(
     partition: PartitionedDataset,
     family: EstimatorFamily,
-    h_or_k: float,
+    params: Sequence[float],
     Q: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block estimates at each query.
+    """Per-block estimates at each query, for every h or k in ``params``.
 
-    Returns ``(estimates, active, degenerate)``, each of shape (m, q):
-    estimates are 0 where a block is degenerate; ``active`` marks blocks
+    Returns ``(estimates, active, degenerate)``, each of shape (P, m, q)
+    with P = len(params); row p is bitwise the result for ``[params[p]]``.
+    Estimates are 0 where a block is degenerate; ``active`` marks blocks
     with a sample within ``h`` of the query (every k-NN block is active
     and none is degenerate).
 
-    At d=1 the naive kernel and k-NN take sorted paths, which build no
-    query x sample matrix. The naive path (``_naive_sorted_1d``) sums the
-    window between the exact bounds of ``distance_1d(q, x) <= h``
-    (``_lower_edge``). Its kernel weight is nonzero exactly when that test,
-    the active test, holds, so there ``active`` is ``~degenerate``. The
-    k-NN path (``_knn_sorted_1d``) averages the k nearest samples when a
-    window of 2k around the query decides them alone, and sends every
-    other (block, query) pair to ``knn_mean``. Every other case builds one
-    ``cdist`` matrix per block.
+    At d=1 the naive kernel and k-NN take the sorted paths
+    ``_naive_sorted_1d`` and ``_knn_sorted_1d``, which share one query sort
+    over the grid; on the naive path a block is active exactly when it is
+    not degenerate (see the module docstring). Every other case builds one
+    ``cdist`` matrix per block, which serves the whole grid.
     """
-    shape = (partition.m, Q.shape[0])
+    shape = (len(params), partition.m, Q.shape[0])
+    if family is EstimatorFamily.KNN:
+        params = [int(k) for k in params]
     if Q.shape[1] == 1 and family is EstimatorFamily.NWK_NAIVE:
-        estimates, degenerate = _naive_sorted_1d(partition, h_or_k, Q[:, 0])
+        estimates, degenerate = _naive_sorted_1d(partition, params, Q[:, 0])
         return estimates, ~degenerate, degenerate
     if Q.shape[1] == 1 and family is EstimatorFamily.KNN:
-        estimates = _knn_sorted_1d(partition, int(h_or_k), Q[:, 0])
+        estimates = _knn_sorted_1d(partition, params, Q[:, 0])
         return estimates, np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
     estimates = np.zeros(shape)
     active = np.ones(shape, dtype=bool)
@@ -458,10 +464,12 @@ def block_estimates(
     for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
         dist = cdist(Q, x[a:b])
         if family is EstimatorFamily.KNN:
-            estimates[j] = knn_mean(dist, y[a:b], [int(h_or_k)])[0]
+            estimates[:, j] = knn_mean(dist, y[a:b], params)
         else:
-            _, degenerate[j] = nwk_mean(dist, y[a:b], kind, h_or_k, estimates[j])
-            active[j] = dist.min(axis=1) <= h_or_k
+            nearest = dist.min(axis=1)
+            for p, h in enumerate(params):
+                degenerate[p, j] = nwk_mean(dist, y[a:b], kind, h, estimates[p, j])
+                active[p, j] = nearest <= h
     return estimates, active, degenerate
 
 
@@ -483,10 +491,10 @@ def predict_batch(model: AvmModel, X: np.ndarray) -> BatchPrediction:
     Q = _query_matrix(X, model.config.d)
     h_or_k = model.h_or_k if model.tilde_h is None else model.tilde_h
     estimates, active, degenerate = block_estimates(
-        model.partition, model.config.family, h_or_k, Q
+        model.partition, model.config.family, [h_or_k], Q
     )
     return BatchPrediction(
-        combine(model.variant, estimates, active),
-        active.sum(axis=0),
-        degenerate.sum(axis=0),
+        combine(model.variant, estimates[0], active[0]),
+        active[0].sum(axis=0),
+        degenerate[0].sum(axis=0),
     )

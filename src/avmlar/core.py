@@ -130,15 +130,17 @@ class Dataset:
         )
 
 
-def distance_1d(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+def distance_1d(
+    q: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Distances between 1-d points as ``cdist`` computes them, ``sqrt((q - x)**2)``.
 
     This is ``|q - x|`` while the square is a normal double. A subnormal
     square rounds and a huge one overflows to inf, and ``|q - x|`` would
-    then admit other samples than the dense path does.
+    then admit other samples than the dense path does. ``out`` may be ``x``.
     """
     with np.errstate(over="ignore", under="ignore"):
-        dist = np.subtract(q, x)
+        dist = np.subtract(q, x, out=out)
         return np.sqrt(np.square(dist, out=dist), out=dist)
 
 

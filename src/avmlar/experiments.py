@@ -248,23 +248,20 @@ def compute_ge_le_ae(
     row["le"] = _single_block_mse(first, test, estimator)
 
     h_or_k = _rule_h_or_k(estimator, train.n, m, part.min_block_size)
-    radii = None
+    variants = tuple(variants)
+    params = [h_or_k]
     if not knn:
         cand = candidates if candidates is not None else default_candidates(train)
         radii = mesh_norm_report(part, cand)
         row["inactive_blocks"] = int(np.count_nonzero(radii > h_or_k))
-    # A1 and A3 share the block matrix at h; A2 needs its own at tilde_h
-    block_matrices = {}
+        if Variant.A2_DATA_DEPENDENT in variants:
+            params.append(data_dependent_bandwidth(radii, estimator.r, estimator.d))
+    estimates, active, _ = block_estimates(part, estimator.family, params, test.x)
     for variant in variants:
-        bandwidth = h_or_k
-        if variant is Variant.A2_DATA_DEPENDENT and radii is not None:
-            bandwidth = data_dependent_bandwidth(radii, estimator.r, estimator.d)
-        if bandwidth not in block_matrices:
-            block_matrices[bandwidth] = block_estimates(
-                part, estimator.family, bandwidth, test.x
-            )
-        estimates, active, _ = block_matrices[bandwidth]
-        row[f"ae_{variant.value}"] = mse(combine(variant, estimates, active), test.y)
+        # A2 reads the last row: tilde_h for NWK, k itself for k-NN
+        p = -1 if variant is Variant.A2_DATA_DEPENDENT else 0
+        values = combine(variant, estimates[p], active[p])
+        row[f"ae_{variant.value}"] = mse(values, test.y)
     return row
 
 

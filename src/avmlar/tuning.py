@@ -5,10 +5,11 @@ by fitting the single-machine estimator on the remaining folds (parameter
 rule applied at the training-fold size) and averaging the held-out MSE.
 The winner is the grid argmin, ties going to the smaller constant.
 
-Every constant is scored by the prediction engine. For NWK, naive and
-Gaussian, the training folds form one block and ``block_estimates``
-predicts the held-out fold, so naive d=1 CV runs on the sorted-window
-path. For k-NN, one ``knn_mean`` call per fold scores every candidate k.
+Every constant is scored by the prediction engine: per fold, the training
+folds form one block and one ``block_estimates`` call predicts the
+held-out fold at every candidate h or k. So each family and dimension runs
+on its prediction path (the sorted windows for naive NWK and k-NN at d=1,
+one ``cdist`` per fold otherwise).
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
+# cdist and kernel_profile are unused here but traced on this module by perfbench/spans.py
+from scipy.spatial.distance import cdist  # noqa: F401
 
-from .avm import _rule_h_or_k, block_estimates, knn_mean
-from .core import Dataset, EstimatorConfig, EstimatorFamily, mse
-# kernel_profile is unused here but traced on this module by perfbench/spans.py
+from .avm import _rule_h_or_k, block_estimates
+from .core import Dataset, EstimatorConfig, mse
 from .kernels import kernel_profile  # noqa: F401
 from .partition import PartitionedDataset, random_partition
 
@@ -68,23 +69,11 @@ def cv_score_grid(
     scores = np.zeros((len(cv.grid), cv.folds))
     for i, (a, b) in enumerate(itertools.pairwise(folds.offsets)):
         test_x, test_y = folds.data.x[a:b], folds.data.y[a:b]
-        block = PartitionedDataset.from_indices(
-            dataset, [np.delete(folds.rows, slice(a, b))]
-        )
-        train = block.data
-        params = [
-            _rule_h_or_k(replace(config, constant_c=c), train.n, 1, train.n)
-            for c in cv.grid
-        ]
-        if config.family is EstimatorFamily.KNN:
-            ks = [int(k) for k in params]
-            estimates = knn_mean(cdist(test_x, train.x), train.y, ks)
-        else:
-            estimates = [
-                block_estimates(block, config.family, h, test_x)[0][0] for h in params
-            ]
-        for gi, fold_estimates in enumerate(estimates):
-            scores[gi, i] = mse(fold_estimates, test_y)
+        rows = np.delete(folds.rows, slice(a, b))
+        block, n = PartitionedDataset.from_indices(dataset, [rows]), len(rows)
+        params = [_rule_h_or_k(replace(config, constant_c=c), n, 1, n) for c in cv.grid]
+        estimates = block_estimates(block, config.family, params, test_x)[0][:, 0]
+        scores[:, i] = [mse(fold_estimates, test_y) for fold_estimates in estimates]
     return scores.mean(axis=1)
 
 

@@ -11,7 +11,12 @@ import math
 
 
 def euclid(a, b) -> float:
-    return math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
+    """Euclidean distance, each gap squared as a product, as ``cdist`` does."""
+    total = 0.0
+    for ai, bi in zip(a, b):
+        d = ai - bi
+        total += d * d
+    return math.sqrt(total)
 
 
 def kernel_value(kind: str, scaled: float) -> float:

@@ -24,7 +24,8 @@ from avmlar import (
     predict_batch,
     random_partition,
 )
-from avmlar.avm import knn_mean
+from avmlar import avm
+from avmlar.avm import block_estimates, knn_mean
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
 
@@ -272,8 +273,8 @@ def test_knn_mean_over_a_k_grid_matches_oracle():
     for k, row in zip(ks, grid):
         expected = [oracles.knn_estimate(xs, list(y), k, (q,)) for q in queries]
         np.testing.assert_allclose(row, expected, rtol=0, atol=tol)
-        # a one-k call selects the same samples
-        np.testing.assert_allclose(knn_mean(dist, y, [k])[0], row, rtol=0, atol=tol)
+        # a one-k call selects the same samples and sums them in the same order
+        np.testing.assert_array_equal(knn_mean(dist, y, [k])[0], row)
     # rows follow the order of ks, which need not be sorted
     np.testing.assert_array_equal(knn_mean(dist, y, [5, 2, 9]), grid[[4, 1, 8]])
 
@@ -289,6 +290,39 @@ def test_batch_matches_scalar_api():
         assert one.values.tobytes() == batch.values[i : i + 1].tobytes()
         assert one.active_blocks[0] == batch.active_blocks[i]
         assert one.degenerate_blocks[0] == batch.degenerate_blocks[i]
+
+
+@pytest.mark.parametrize(
+    "family, d, params",
+    [
+        (EstimatorFamily.NWK_NAIVE, 1, [0.2, 0.05, 0.5, 0.2]),
+        (EstimatorFamily.KNN, 1, [3, 1, 7, 3]),
+        (EstimatorFamily.NWK_GAUSSIAN, 1, [0.2, 0.05, 0.5, 0.2]),
+        (EstimatorFamily.NWK_NAIVE, 2, [0.2, 0.05, 0.5, 0.2]),
+        (EstimatorFamily.KNN, 2, [40, 3, 90, 40]),
+    ],
+    ids=["naive-d1", "knn-d1", "gaussian-d1", "naive-d2", "knn-d2"],
+)
+def test_block_estimates_over_a_grid_matches_single_calls(monkeypatch, family, d, params):
+    # params unsorted and with a repeat: row p is the one-parameter call at params[p]
+    rng = np.random.default_rng(16)
+    if family is EstimatorFamily.KNN and d == 1:
+        # every input of a 1/8 lattice four times: duplicate runs reach knn_mean
+        x = rng.permutation(np.repeat(np.arange(9) / 8, 4))[:, None]
+        queries = np.arange(-4, 21)[:, None] / 16
+    else:
+        x, queries = rng.random((1500, d)), rng.random((100, d))
+    part = random_partition(Dataset(x, rng.normal(size=len(x))), 3, 4)
+    calls = []
+    monkeypatch.setattr(avm, "knn_mean", lambda *a: calls.append(a) or knn_mean(*a))
+    grid = block_estimates(part, family, params, queries)
+    # k-NN reaches knn_mean at d=2 always, at d=1 for the lattice's duplicate runs
+    assert bool(calls) == (family is EstimatorFamily.KNN)
+    for got in grid:
+        assert got.shape == (len(params), part.m, len(queries))
+    single = [block_estimates(part, family, [p], queries) for p in params]
+    for got, one in zip(grid, zip(*single)):
+        assert got.tobytes() == np.concatenate(one).tobytes()
 
 
 def test_model_validation():

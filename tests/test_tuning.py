@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import oracles
+from avmlar import avm
 from avmlar import (
     CvConfig,
     Dataset,
@@ -122,11 +124,16 @@ def test_nwk_scores_match_exhaustive_rescoring(family, d):
     assert cv_select_constant(ds, cfg, cv) == cv.grid[int(np.argmin(slow))]
 
 
-@pytest.mark.parametrize("data", ["g1", "lattice"])
+@pytest.mark.parametrize("data", ["g1", "lattice", "d2"])
 def test_knn_scores_match_exhaustive_rescoring(data):
-    cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
+    cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=2 if data == "d2" else 1)
     if data == "g1":
         ds = generate_dataset(TargetModel(TargetKind.G1), 120, 6)
+    elif data == "d2":
+        # d > 1 scores every k from one cdist matrix per fold
+        rng = np.random.default_rng(6)
+        x = rng.random((120, 2))
+        ds = Dataset(x, np.sin(4.0 * x.sum(axis=1)) + 0.3 * rng.standard_normal(120))
     else:
         # x = i/8, each value repeated in shuffled order: every distance
         # recurs, so the k-th nearest of each query is tied
@@ -137,6 +144,17 @@ def test_knn_scores_match_exhaustive_rescoring(data):
     fast = cv_score_grid(ds, cfg, cv)
     slow = _exhaustive_fold_scores(ds, cfg, cv)
     np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+def test_gaussian_cv_makes_one_cdist_per_fold(monkeypatch):
+    # the fold's distance matrix serves every candidate bandwidth
+    calls = []
+    monkeypatch.setattr(avm, "cdist", lambda *a: calls.append(a) or cdist(*a))
+    ds = generate_dataset(TargetModel(TargetKind.G1), 200, 8)
+    cfg = EstimatorConfig(EstimatorFamily.NWK_GAUSSIAN, r=1.0, d=1)
+    cv = CvConfig(default_constant_grid(0.1, 2.0, 6), folds=4, seed=9)
+    cv_score_grid(ds, cfg, cv)
+    assert len(calls) == cv.folds
 
 
 def test_naive_cv_memory_is_bounded_at_sweep_size():
