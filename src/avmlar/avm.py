@@ -35,13 +35,12 @@ Every path measures the distance ``cdist`` computes; at d=1 that is
   ``d <= h``, so the naive kernel weight is nonzero exactly when the A3
   activity test holds: on this path a block is active exactly when it is
   not degenerate.
-* k-NN: the k nearest samples lie in a window of 2k sorted samples around
-  the query. A (block, query) pair is decided by the window alone when
-  exactly k window samples lie within the k-th smallest window distance
-  and both samples just outside the window are farther; those k are then
-  the unique k nearest. Every other pair (duplicate runs or equal
-  distances at a window edge) goes to ``knn_mean``, so ties are still
-  ordered in one place.
+* k-NN: the k nearest samples are a run of the sorted block, placed by
+  the count of keys ``x[i] + x[i + k]`` exactly below ``2q``. The key can
+  overflow and ``distance_1d`` rounds, so it only steers: a pair is decided
+  when both samples just outside the run are farther, by ``distance_1d``,
+  than the larger run end. Every other pair goes to ``knn_mean``, so ties
+  are still ordered in one place. Runs are summed in sorted-x order.
 """
 
 from __future__ import annotations
@@ -94,11 +93,8 @@ def knn_k_rule(N: int, m: int, r: float, d: int, c: float) -> KnnRule:
     """
     if N < 1 or m < 1 or r <= 0 or d < 1 or c <= 0:
         raise ValueError("knn_k_rule arguments must be positive")
-    raw = c * float(N) ** (2.0 * r / (2.0 * r + d)) / m
-    k = int(round(raw))
-    if k < 1:
-        return KnnRule(1, True)
-    return KnnRule(k, False)
+    k = int(round(c * float(N) ** (2.0 * r / (2.0 * r + d)) / m))
+    return KnnRule(max(k, 1), k < 1)
 
 
 def data_dependent_bandwidth(radii: np.ndarray, r: float, d: int) -> float:
@@ -274,6 +270,19 @@ def _double(i: np.ndarray) -> np.ndarray:
     return np.where(i < 0, -i | _SIGN, i).view(np.float64)
 
 
+def _bisect(lo: np.ndarray, hi: np.ndarray, inside) -> np.ndarray:
+    """Least ordinal in (lo, hi] whose double is ``inside``, for monotone ``inside``."""
+    while True:
+        # floor((lo + hi) / 2) without int64 overflow; above lo while hi - lo > 1
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        gap = mid > lo
+        if not gap.any():
+            return hi
+        admit = inside(_double(mid))
+        hi = np.where(gap & admit, mid, hi)
+        lo = np.where(gap & ~admit, mid, lo)
+
+
 def _lower_edge(q: np.ndarray, h: float) -> np.ndarray:
     """Smallest double ``x`` with ``x >= q`` or ``distance_1d(q, x) <= h``, per ``q``.
 
@@ -284,28 +293,22 @@ def _lower_edge(q: np.ndarray, h: float) -> np.ndarray:
     normal range, and a run of duplicate samples can sit in that gap. The
     edge is bisected over the doubles, ordered as integers, inside a
     bracket around ``q - h``; where the bracket does not hold the edge, it
-    is widened to the infinities.
+    is widened to the infinities. ``distance_1d`` rounds monotonically, so
+    each step tests ``fl(q - x) <= g`` for the largest ``g`` within ``h``
+    of 0, which is ``h`` while ``h * h`` is normal.
     """
-
-    def inside(x: np.ndarray) -> np.ndarray:
-        return (x >= q) | (distance_1d(q, x) <= h)
-
+    g, d = h, distance_1d(np.array([h, np.nextafter(h, np.inf)]), 0.0)
+    if not d[0] <= h < d[1]:
+        ends = np.array([0, _ORDINAL_INF])  # 0 is within h of 0, inf is not
+        g = _double(_bisect(*ends[:, None], lambda x: distance_1d(x, 0.0) > h) - 1)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         # several times the rounding of q - h and of q - x near the edge
         delta = 2.0**-48 * (np.abs(q) + h)
         lo = _ordinal(q - h - delta)  # below the edge ...
         hi = _ordinal(q - h + delta)  # ... and at or above it
-    lo[inside(_double(lo))] = -_ORDINAL_INF
-    hi[~inside(_double(hi))] = _ORDINAL_INF
-    while True:
-        # floor((lo + hi) / 2) without int64 overflow; above lo while hi - lo > 1
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        gap = mid > lo
-        if not gap.any():
-            return _double(hi)
-        admit = inside(_double(mid))
-        hi = np.where(gap & admit, mid, hi)
-        lo = np.where(gap & ~admit, mid, lo)
+        lo[q - _double(lo) <= g] = -_ORDINAL_INF
+        hi[~(q - _double(hi) <= g)] = _ORDINAL_INF
+        return _double(_bisect(lo, hi, lambda x: q - x <= g))
 
 
 def _naive_sorted_1d(
@@ -348,9 +351,9 @@ def _naive_sorted_1d(
     return estimates, degenerate
 
 
-# entries of one window array of ``_knn_sorted_1d``: 1 MiB of float64, so the
-# arrays stay in cache and memory stays bounded as m grows
-_KNN_WINDOW_ELEMENTS = 2**17
+# (block, query) pairs per block group of ``_knn_sorted_1d``, and entries per
+# summing slab: temporaries stay O(pairs) and in cache as m and k grow
+_KNN_PAIRS = 2**16
 
 
 def _knn_sorted_1d(
@@ -358,17 +361,14 @@ def _knn_sorted_1d(
 ) -> np.ndarray:
     """k-NN block estimates at 1-d queries ``q``, shape (len(ks), m, len(q)).
 
-    In a block sorted by x the k nearest samples of q lie among the 2k
-    around q's place, so each (block, query) pair reads a window of
-    w = min(2k, smallest block) samples starting at ``pos - k``, clipped to
-    the block. Let D be the k-th smallest window distance. Distances fall
-    then rise across the block, so when exactly k window samples lie
-    within D and both samples just outside the window are farther, those k
-    are the only k nearest and their mean needs no tie rule. Every other
-    pair (a duplicate run, or equal distances on both sides of q, at or
-    past a window edge) goes to ``knn_mean`` over its block, which orders
-    the ties. Window sums run in sorted-x order. Blocks are taken in groups
-    of at most ``_KNN_WINDOW_ELEMENTS`` window entries.
+    In a block sorted by x the k nearest samples are a run [L, L+k); L
+    counts the keys ``x[i] + x[i + k]`` exactly below 2q, as the run moves
+    past sample i while ``x[i + k]`` is nearer q. The key can overflow and
+    ``distance_1d`` rounds, so it only steers: a pair is decided when both
+    samples just outside the run are farther than its larger end (distances
+    fall then rise along the block, so the run is the unique k nearest); any
+    other pair goes to ``knn_mean``, which orders ties. Runs are summed
+    sequentially in sorted-x order, in block groups of ~``_KNN_PAIRS`` pairs.
     """
     m, order = partition.m, np.argsort(q, kind="stable")
     qs = q[order]
@@ -376,13 +376,12 @@ def _knn_sorted_1d(
     x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
     estimates = np.empty((len(ks), m, len(q)))
     decided = np.empty(estimates.shape, dtype=bool)
-    for p, k in enumerate(ks):
-        w = min(2 * k, partition.min_block_size)
-        step = max(1, _KNN_WINDOW_ELEMENTS // ((len(q) + 1) * (w + 2)))
-        for j in range(0, m, step):
-            a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
-            group = offsets[j : j + step + 1] - a
-            means, decided[p, blocks] = _knn_windows(x[a:b], y[a:b], group, k, w, qs)
+    step = max(1, _KNN_PAIRS // len(q))
+    for j in range(0, m, step):
+        a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
+        group = offsets[j : j + step + 1] - a
+        for p, k in enumerate(ks):
+            means, decided[p, blocks] = _knn_runs(x[a:b], y[a:b], group, k, qs)
             estimates[p][blocks, order] = means
     x, y = partition.data.x, partition.data.y
     for p, j in zip(*np.nonzero(~decided.all(axis=2))):
@@ -392,39 +391,44 @@ def _knn_sorted_1d(
     return estimates
 
 
-def _knn_windows(
-    x: np.ndarray, y: np.ndarray, offsets: np.ndarray, k: int, w: int, q: np.ndarray
+def _knn_runs(
+    x: np.ndarray, y: np.ndarray, offsets: np.ndarray, k: int, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Window means and decided flags, shape (blocks, len(q)), at sorted ``q``.
-
-    ``x`` and ``y`` hold the blocks ``offsets`` delimits, each sorted by x.
-    """
+    """Run means and decided flags, (blocks, len(q)), of x-sorted blocks at sorted q."""
     m, t = len(offsets) - 1, len(q)
-    starts, sizes = offsets[:-1, None], np.diff(offsets)[:, None]
-    # pos[j, i]: the samples of block j below query i. A sample is below the
-    # sorted queries from the first one above it on, so count per block the
-    # samples whose first query above is each query, and accumulate
-    above = np.searchsorted(q, x, side="right")
-    block = np.repeat(np.arange(m), sizes[:, 0])
+    starts, ends = offsets[:-1, None], offsets[1:, None]
+    # first[j, i]: block j's start plus its keys below 2 q_i, counted per block
+    # by the first query above each key and accumulated; a key whose i + k is
+    # past its block counts for no query. A key that rounded up (TwoSum's error
+    # is negative) steps down one double, so ``key < 2q`` is the exact test
+    block = np.repeat(np.arange(m), np.diff(offsets))[: len(x) - k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        key, lo, hi = x[:-k] + x[k:], x[:-k], x[k:]
+        err = (lo - (key - (key - lo))) + (hi - (key - lo))
+        np.nextafter(key, -np.inf, out=key, where=err < 0)
+        above = np.searchsorted(2 * q, key, side="right")
+    above[np.arange(len(block)) + k >= offsets[1:][block]] = t
     counts = np.bincount(block * (t + 1) + above, minlength=m * (t + 1))
-    pos = counts.reshape(m, t + 1).cumsum(axis=1)[:, :t]
-    first = np.clip(pos - k, 0, sizes - w) + starts
-    # the window with one sample either side; a side past the block end is inf
-    idx = first + np.arange(-1, w + 1)[:, None, None]
-    dist = x.take(idx, mode="clip")
-    distance_1d(q, dist, out=dist)
-    dist[0][first == starts] = np.inf
-    dist[-1][first + w == starts + sizes] = np.inf
-    window = dist[1:-1]
-    # over a run of k the larger end distance is the run's largest, and the
-    # least of those over the window's runs is its k-th smallest distance
-    kth = np.maximum(window[: w - k + 1], window[k - 1 :]).min(axis=0)
-    outside = window > kth
-    decided = (outside.sum(axis=0) == w - k) & (dist[0] > kth) & (dist[-1] > kth)
-    # responses overwrite distances: allocating window arrays is most of the cost
-    ys = y.take(idx[1:-1], out=window, mode="clip")
-    np.copyto(ys, 0.0, where=outside)
-    return ys.sum(axis=0) / k, decided
+    first = counts.reshape(m, t + 1).cumsum(axis=1)[:, :t] + starts
+    # decided: the sample just outside each side is past the block end or
+    # farther than both run ends
+    end = np.maximum(distance_1d(q, x[first]), distance_1d(q, x[first + k - 1]))
+    left = (first == starts) | (distance_1d(q, x.take(first - 1, mode="clip")) > end)
+    right = (first + k == ends) | (distance_1d(q, x.take(first + k, mode="clip")) > end)
+    decided = left & right
+    # slabs of the runs' next rows, added down axis 0 after the running sum in
+    # row 0: numpy adds the rows in order, so each run sums in sorted-x order
+    rows = min(k, max(1, _KNN_PAIRS // first.size))
+    idx = first.ravel() + np.arange(rows)[:, None]
+    slab = np.empty((rows + 1, first.size))
+    sums = np.zeros(first.size)
+    for r in range(0, k, rows):
+        n = min(rows, k - r)
+        slab[0] = sums
+        y.take(idx[:n], out=slab[1 : n + 1])
+        np.add.reduce(slab[: n + 1], axis=0, out=sums)
+        idx += rows
+    return sums.reshape(m, t) / k, decided
 
 
 def block_estimates(
@@ -453,12 +457,10 @@ def block_estimates(
     if Q.shape[1] == 1 and family is EstimatorFamily.NWK_NAIVE:
         estimates, degenerate = _naive_sorted_1d(partition, params, Q[:, 0])
         return estimates, ~degenerate, degenerate
+    active, degenerate = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
     if Q.shape[1] == 1 and family is EstimatorFamily.KNN:
-        estimates = _knn_sorted_1d(partition, params, Q[:, 0])
-        return estimates, np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        return _knn_sorted_1d(partition, params, Q[:, 0]), active, degenerate
     estimates = np.zeros(shape)
-    active = np.ones(shape, dtype=bool)
-    degenerate = np.zeros(shape, dtype=bool)
     kind = _FAMILY_KERNEL.get(family)
     x, y = partition.data.x, partition.data.y
     for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):

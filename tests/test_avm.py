@@ -325,6 +325,25 @@ def test_block_estimates_over_a_grid_matches_single_calls(monkeypatch, family, d
         assert got.tobytes() == np.concatenate(one).tobytes()
 
 
+@pytest.mark.parametrize(
+    "family, d, params",
+    [
+        (EstimatorFamily.NWK_NAIVE, 1, [0.05, 0.2]),
+        (EstimatorFamily.KNN, 1, [1, 7]),
+        (EstimatorFamily.NWK_GAUSSIAN, 1, [0.05, 0.2]),
+        (EstimatorFamily.KNN, 2, [1, 7]),
+    ],
+    ids=["naive-d1", "knn-d1", "dense-d1", "dense-d2"],
+)
+def test_block_estimates_are_c_contiguous(family, d, params):
+    # combine's mean over blocks sums in memory order, so a strided result
+    # would move the sweep CSVs in the last bit
+    rng = np.random.default_rng(17)
+    part = random_partition(Dataset(rng.random((300, d)), rng.normal(size=300)), 4, 0)
+    for got in block_estimates(part, family, params, rng.random((40, d))):
+        assert got.flags.c_contiguous
+
+
 def test_model_validation():
     ds = uniform_dataset(10, seed=12)
     part = random_partition(ds, 2, 0)
@@ -480,6 +499,76 @@ def test_knn_memory_is_bounded(n, m, k, t):
     ds = uniform_dataset(n, seed=15)
     model = fit_avm(ds, KNN, m, 0, k=k)
     queries = np.random.default_rng(15).random((t, 1))
+    tracemalloc.start()
+    try:
+        predict_batch(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_knn_falls_back_wherever_the_run_key_overflows(monkeypatch):
+    # near +-1.7e308 the run keys x[i] + x[i + k] and 2q overflow, and every
+    # gap between distinct doubles squares to inf, so no query (none is a
+    # sample) has a finite distance and no run short of the block can be
+    # decided: every pair must reach knn_mean, which ranks the ties by index
+    rng = np.random.default_rng(19)
+    x = rng.choice([-1.7e308, -1.6e308, -1e308, 1e308, 1.6e308, 1.7e308], 30)
+    ds = Dataset(x[:, None], rng.integers(-1000, 1000, x.size) / 100.0)
+    queries = np.array([-1.75e308, -1.65e308, -1.2e308, 0.0, 1.2e308, 1.65e308])[:, None]
+    tol = 1e-12 * np.abs(ds.y).max()
+    rows = []
+    monkeypatch.setattr(avm, "knn_mean", lambda d, *a: rows.append(len(d)) or knn_mean(d, *a))
+    for m in (1, 3):
+        part = random_partition(ds, m, 0)
+        for k in (1, 3):
+            rows.clear()
+            model = AvmModel(part, KNN, Variant.A1_PLAIN, k)
+            got = predict_batch(model, queries).values
+            with np.errstate(over="ignore"):  # the oracle squares past the range
+                expected = [oracles.avm_knn(oracle_blocks(model), k, q) for q in queries]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=tol, err_msg=f"{m=} {k=}")
+            assert sum(rows) == m * len(queries)
+
+
+def test_knn_falls_back_only_where_the_kth_nearest_ties(monkeypatch):
+    # inputs and queries on a 1/1000 grid: x[i] + x[i + k] often rounds onto
+    # 2q while one of the two is strictly nearer, so a rounded run key would
+    # misplace the run and fall back; the exact key decides every (block,
+    # query) pair whose k nearest are unique, and no other
+    rng = np.random.default_rng(21)
+    ds = Dataset(np.round(rng.random((3000, 1)), 3), rng.normal(size=3000))
+    queries = np.round(rng.random((500, 1)), 3)
+    part = random_partition(ds, 7, 2)
+    rows = []
+    monkeypatch.setattr(avm, "knn_mean", lambda d, *a: rows.append(len(d)) or knn_mean(d, *a))
+    for k in (1, 3, 214, part.min_block_size):
+        rows.clear()
+        block_estimates(part, EstimatorFamily.KNN, [k], queries)
+        dists = [np.sort(cdist(queries, b.x), axis=1) for b in part.blocks]
+        ties = sum((d[:, k - 1] == d[:, k]).sum() for d in dists if k < d.shape[1])
+        assert sum(rows) == ties, k
+
+
+def test_knn_run_sums_do_not_depend_on_the_slab_size(monkeypatch):
+    # at 16 pairs per group and slab, each block is its own group and each
+    # run is summed one row at a time; the sums stay sequential in sorted-x
+    # order, so the estimates are bitwise those of one slab per run
+    rng = np.random.default_rng(20)
+    part = random_partition(Dataset(rng.random((400, 1)), rng.normal(size=400)), 3, 0)
+    queries, ks = rng.random((40, 1)), [1, 7, 60, part.min_block_size]
+    one_slab = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
+    monkeypatch.setattr(avm, "_KNN_PAIRS", 16)
+    many = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
+    assert many.tobytes() == one_slab.tobytes()
+
+
+def test_knn_memory_is_bounded_at_half_the_block():
+    # one block, k = N/2: a 2k-sample window per query would take 400 MB
+    ds = uniform_dataset(50_000, seed=18)
+    model = fit_avm(ds, KNN, 1, 0, k=25_000)
+    queries = np.random.default_rng(18).random((1000, 1))
     tracemalloc.start()
     try:
         predict_batch(model, queries)
