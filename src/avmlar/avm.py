@@ -40,7 +40,7 @@ Every path measures the distance ``cdist`` computes; at d=1 that is
   overflow and ``distance_1d`` rounds, so it only steers: a pair is decided
   when both samples just outside the run are farther, by ``distance_1d``,
   than the larger run end. Every other pair goes to ``knn_mean``, so ties
-  are still ordered in one place. Runs are summed in sorted-x order.
+  are still ordered in one place. Both d=1 paths sum with ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -351,8 +351,8 @@ def _naive_sorted_1d(
     return estimates, degenerate
 
 
-# (block, query) pairs per block group of ``_knn_sorted_1d``, and entries per
-# summing slab: temporaries stay O(pairs) and in cache as m and k grow
+# (block, query) pairs per block group of ``_knn_sorted_1d``, and distances per
+# ``knn_mean`` fallback call: temporaries stay O(pairs) as m and k grow
 _KNN_PAIRS = 2**16
 
 
@@ -367,8 +367,8 @@ def _knn_sorted_1d(
     ``distance_1d`` rounds, so it only steers: a pair is decided when both
     samples just outside the run are farther than its larger end (distances
     fall then rise along the block, so the run is the unique k nearest); any
-    other pair goes to ``knn_mean``, which orders ties. Runs are summed
-    sequentially in sorted-x order, in block groups of ~``_KNN_PAIRS`` pairs.
+    other pair goes to ``knn_mean``, which orders ties. Runs are summed with
+    ``np.add.reduceat``, in block groups of ~``_KNN_PAIRS`` pairs.
     """
     m, order = partition.m, np.argsort(q, kind="stable")
     qs = q[order]
@@ -376,7 +376,7 @@ def _knn_sorted_1d(
     x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
     estimates = np.empty((len(ks), m, len(q)))
     decided = np.empty(estimates.shape, dtype=bool)
-    step = max(1, _KNN_PAIRS // len(q))
+    step = max(1, _KNN_PAIRS // max(1, len(q)))
     for j in range(0, m, step):
         a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
         group = offsets[j : j + step + 1] - a
@@ -386,8 +386,9 @@ def _knn_sorted_1d(
     x, y = partition.data.x, partition.data.y
     for p, j in zip(*np.nonzero(~decided.all(axis=2))):
         a, b = offsets[j : j + 2]
-        rows = order[~decided[p, j]]
-        estimates[p, j, rows] = knn_mean(cdist(q[rows, None], x[a:b]), y[a:b], [ks[p]])[0]
+        rows, size = order[~decided[p, j]], max(1, _KNN_PAIRS // (b - a))
+        for r in np.array_split(rows, range(size, len(rows), size)):
+            estimates[p, j, r] = knn_mean(cdist(q[r, None], x[a:b]), y[a:b], [ks[p]])[0]
     return estimates
 
 
@@ -416,19 +417,16 @@ def _knn_runs(
     left = (first == starts) | (distance_1d(q, x.take(first - 1, mode="clip")) > end)
     right = (first + k == ends) | (distance_1d(q, x.take(first + k, mode="clip")) > end)
     decided = left & right
-    # slabs of the runs' next rows, added down axis 0 after the running sum in
-    # row 0: numpy adds the rows in order, so each run sums in sorted-x order
-    rows = min(k, max(1, _KNN_PAIRS // first.size))
-    idx = first.ravel() + np.arange(rows)[:, None]
-    slab = np.empty((rows + 1, first.size))
-    sums = np.zeros(first.size)
-    for r in range(0, k, rows):
-        n = min(rows, k - r)
-        slab[0] = sums
-        y.take(idx[:n], out=slab[1 : n + 1])
-        np.add.reduce(slab[: n + 1], axis=0, out=sums)
-        idx += rows
-    return sums.reshape(m, t) / k, decided
+    # the run starts rise in (block, query) order: each distinct run is summed
+    # once over the interleaved edges (start, start + k) and mapped back; a
+    # trailing 0 makes a run end at the last block's end a valid reduceat index
+    run = first.ravel()
+    new = np.ones(run.size, dtype=bool)
+    new[1:] = run[1:] != run[:-1]
+    edges = np.repeat(run[new], 2)
+    edges[1::2] += k
+    means = np.add.reduceat(np.append(y, 0.0), edges)[0::2] / k
+    return means[np.cumsum(new) - 1].reshape(m, t), decided
 
 
 def block_estimates(

@@ -280,16 +280,30 @@ def test_knn_mean_over_a_k_grid_matches_oracle():
 
 
 def test_batch_matches_scalar_api():
-    # a one-row call is bitwise the matching row of a larger batch
+    # a one-row call is bitwise the matching row of a larger batch; repeated
+    # queries share one k-NN run in the batch, which each one-row call sums alone
     ds = uniform_dataset(50, seed=11)
-    model = fit_avm(ds, NWK, 5, 2, Variant.A1_PLAIN, h=0.1)
-    queries = np.random.default_rng(11).random((20, 1))
-    batch = predict_batch(model, queries)
-    for i, q in enumerate(queries):
-        one = predict_batch(model, q)
-        assert one.values.tobytes() == batch.values[i : i + 1].tobytes()
-        assert one.active_blocks[0] == batch.active_blocks[i]
-        assert one.degenerate_blocks[0] == batch.degenerate_blocks[i]
+    queries = np.random.default_rng(11).random((20, 1))[[*range(20), 3, 17, 3, 0]]
+    for model in (
+        fit_avm(ds, NWK, 5, 2, Variant.A1_PLAIN, h=0.1),
+        fit_avm(ds, KNN, 5, 2, Variant.A1_PLAIN, k=3),
+    ):
+        batch = predict_batch(model, queries)
+        for i, q in enumerate(queries):
+            one = predict_batch(model, q)
+            assert one.values.tobytes() == batch.values[i : i + 1].tobytes()
+            assert one.active_blocks[0] == batch.active_blocks[i]
+            assert one.degenerate_blocks[0] == batch.degenerate_blocks[i]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_empty_batch_predicts_nothing(d):
+    ds = uniform_dataset(60, d=d, seed=12)
+    for family in EstimatorFamily:
+        model = fit_avm(ds, EstimatorConfig(family, r=1.0, d=d), 3, 0)
+        batch = predict_batch(model, np.empty((0, d)))
+        for out in (batch.values, batch.active_blocks, batch.degenerate_blocks):
+            assert out.shape == (0,), family
 
 
 @pytest.mark.parametrize(
@@ -551,17 +565,41 @@ def test_knn_falls_back_only_where_the_kth_nearest_ties(monkeypatch):
         assert sum(rows) == ties, k
 
 
-def test_knn_run_sums_do_not_depend_on_the_slab_size(monkeypatch):
-    # at 16 pairs per group and slab, each block is its own group and each
-    # run is summed one row at a time; the sums stay sequential in sorted-x
-    # order, so the estimates are bitwise those of one slab per run
+def test_knn_run_sums_do_not_depend_on_the_group_size(monkeypatch):
+    # at 16 pairs per group each block is its own group, its runs summed by
+    # their own reduceat; a run's sum depends only on its samples, so the
+    # estimates are bitwise those of one group of every block
     rng = np.random.default_rng(20)
     part = random_partition(Dataset(rng.random((400, 1)), rng.normal(size=400)), 3, 0)
     queries, ks = rng.random((40, 1)), [1, 7, 60, part.min_block_size]
-    one_slab = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
+    one_group = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
     monkeypatch.setattr(avm, "_KNN_PAIRS", 16)
     many = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
-    assert many.tobytes() == one_slab.tobytes()
+    assert many.tobytes() == one_group.tobytes()
+
+
+def test_knn_fallback_memory_is_bounded(monkeypatch):
+    # inputs and queries on a 1/100 lattice: about 100 samples share each
+    # query's point, so its 32nd and 33rd nearest tie at distance 0 and every
+    # pair falls back; one rows x block matrix would take 60 MiB
+    rng = np.random.default_rng(22)
+    ds = Dataset(rng.integers(0, 100, (10_000, 1)) / 100, rng.normal(size=10_000))
+    part = random_partition(ds, 1, 0)
+    queries = rng.integers(0, 100, (200, 1)) / 100
+    rows = []
+    monkeypatch.setattr(avm, "knn_mean", lambda d, *a: rows.append(len(d)) or knn_mean(d, *a))
+    tracemalloc.start()
+    try:
+        got = block_estimates(part, EstimatorFamily.KNN, [32], queries)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert sum(rows) == len(queries) and len(rows) > 1
+    # the fallback reads the block in stored order, in calls of whole rows
+    block = part.blocks[0]
+    expected = knn_mean(cdist(queries, block.x), block.y, [32])
+    assert got[:, 0].tobytes() == expected.tobytes()
 
 
 def test_knn_memory_is_bounded_at_half_the_block():

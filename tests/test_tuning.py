@@ -171,7 +171,7 @@ def test_naive_cv_memory_is_bounded_at_sweep_size():
 
 
 def test_knn_cv_memory_is_bounded_at_sweep_size():
-    # one run slab per fold and k, not a fold x fold matrix or a 2k window per pair
+    # one reduceat over distinct runs per fold and k, not a fold x fold matrix
     ds = generate_dataset(TargetModel(TargetKind.G1), 10_000, 0)
     cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
     cv = CvConfig(default_constant_grid(), folds=5, seed=0)
