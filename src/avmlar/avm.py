@@ -12,20 +12,22 @@ Three ways to combine per-block local estimates at a query point:
 For the k-NN family the localization radius adapts per block, so every
 block is always active and all three variants coincide with A1.
 
-Every prediction path and CV score runs through the core below: ``nwk_mean``
-(dense NWK), ``_naive_sorted_1d`` and ``_knn_sorted_1d`` (sorted NWK-naive
-and k-NN at d=1), ``knn_mean`` (the one k-NN selector and tie rule, over a
-grid of k), ``block_estimates``, ``combine``, and ``_rule_h_or_k`` for h
-and k.
+Every prediction path and CV score runs through the core below:
+``_naive_sorted_1d`` and ``_knn_sorted_1d`` (sorted NWK-naive and k-NN at
+d=1), ``knn_mean`` (the one k-NN selector and tie rule, over a grid of k),
+``block_estimates`` (which also holds the dense NWK path), ``combine``, and
+``_rule_h_or_k`` for h and k.
 
 ``block_estimates`` takes a grid of h or k and returns (P, m, q) arrays,
 one row per parameter, reading the partition once for the grid. It picks
 its path by family and input dimension. At d=1 the naive kernel and k-NN
 take sorted paths over the partition's ``x_order`` (each block sorted once
 per partition) and build no query x sample matrix. Every other case
-(Gaussian, d>1) takes the dense path over one ``cdist`` matrix per block.
-Every path measures the distance ``cdist`` computes; at d=1 that is
-``distance_1d``.
+(Gaussian, d>1) is dense, in query chunks of about ``_CHUNK_PAIRS``
+distances. Dense NWK takes one ``cdist`` per chunk over the block-major
+samples and sums each block's columns with ``np.add.reduceat``; dense k-NN
+takes one ``cdist`` per block and chunk for ``knn_mean``. Every path
+measures the distance ``cdist`` computes; at d=1 that is ``distance_1d``.
 
 * Naive NWK: a query's kernel window is the run of samples between two
   ``searchsorted`` edges, summed with ``np.add.reduceat``. The edges are
@@ -216,21 +218,6 @@ def _query_matrix(X: np.ndarray, d: int) -> np.ndarray:
     return Q
 
 
-def nwk_mean(
-    dist: np.ndarray, y: np.ndarray, kind: KernelKind, h: float, out: np.ndarray
-) -> np.ndarray:
-    """Write NWK estimates per row of ``dist`` into ``out``; return degenerate flags.
-
-    ``out`` must be zero-filled: a degenerate row (every kernel weight 0)
-    keeps its estimate 0.
-    """
-    raw = kernel_profile(kind, dist / h)
-    den = raw.sum(axis=1)
-    ok = den > 0.0
-    np.divide(raw @ y, den, out=out, where=ok)
-    return ~ok
-
-
 def knn_mean(dist: np.ndarray, y: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     """Mean response of the k nearest samples per row of ``dist``, shape (len(ks), rows).
 
@@ -352,8 +339,9 @@ def _naive_sorted_1d(
 
 
 # (block, query) pairs per block group of ``_knn_sorted_1d``, and distances per
-# ``knn_mean`` fallback call: temporaries stay O(pairs) as m and k grow
-_KNN_PAIRS = 2**16
+# dense query chunk or ``knn_mean`` call: temporaries stay O(pairs) as N, m and
+# k grow, and a dense chunk stays cache-sized
+_CHUNK_PAIRS = 2**16
 
 
 def _knn_sorted_1d(
@@ -368,7 +356,7 @@ def _knn_sorted_1d(
     samples just outside the run are farther than its larger end (distances
     fall then rise along the block, so the run is the unique k nearest); any
     other pair goes to ``knn_mean``, which orders ties. Runs are summed with
-    ``np.add.reduceat``, in block groups of ~``_KNN_PAIRS`` pairs.
+    ``np.add.reduceat``, in block groups of ~``_CHUNK_PAIRS`` pairs.
     """
     m, order = partition.m, np.argsort(q, kind="stable")
     qs = q[order]
@@ -376,7 +364,7 @@ def _knn_sorted_1d(
     x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
     estimates = np.empty((len(ks), m, len(q)))
     decided = np.empty(estimates.shape, dtype=bool)
-    step = max(1, _KNN_PAIRS // max(1, len(q)))
+    step = max(1, _CHUNK_PAIRS // max(1, len(q)))
     for j in range(0, m, step):
         a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
         group = offsets[j : j + step + 1] - a
@@ -386,7 +374,7 @@ def _knn_sorted_1d(
     x, y = partition.data.x, partition.data.y
     for p, j in zip(*np.nonzero(~decided.all(axis=2))):
         a, b = offsets[j : j + 2]
-        rows, size = order[~decided[p, j]], max(1, _KNN_PAIRS // (b - a))
+        rows, size = order[~decided[p, j]], max(1, _CHUNK_PAIRS // (b - a))
         for r in np.array_split(rows, range(size, len(rows), size)):
             estimates[p, j, r] = knn_mean(cdist(q[r, None], x[a:b]), y[a:b], [ks[p]])[0]
     return estimates
@@ -445,9 +433,12 @@ def block_estimates(
 
     At d=1 the naive kernel and k-NN take the sorted paths
     ``_naive_sorted_1d`` and ``_knn_sorted_1d``, which share one query sort
-    over the grid; on the naive path a block is active exactly when it is
-    not degenerate (see the module docstring). Every other case builds one
-    ``cdist`` matrix per block, which serves the whole grid.
+    over the grid; on every naive path a block is active exactly when it is
+    not degenerate (see the module docstring). Every other case is dense:
+    each chunk of query rows takes one ``cdist`` matrix, against all the
+    samples for NWK and against each block for k-NN, which serves the whole
+    grid. Every block and row is reduced alone, so no result depends on the
+    chunk size or on the other queries in the batch.
     """
     shape = (len(params), partition.m, Q.shape[0])
     if family is EstimatorFamily.KNN:
@@ -459,17 +450,32 @@ def block_estimates(
     if Q.shape[1] == 1 and family is EstimatorFamily.KNN:
         return _knn_sorted_1d(partition, params, Q[:, 0]), active, degenerate
     estimates = np.zeros(shape)
-    kind = _FAMILY_KERNEL.get(family)
-    x, y = partition.data.x, partition.data.y
-    for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
-        dist = cdist(Q, x[a:b])
-        if family is EstimatorFamily.KNN:
-            estimates[:, j] = knn_mean(dist, y[a:b], params)
-        else:
-            nearest = dist.min(axis=1)
-            for p, h in enumerate(params):
-                degenerate[p, j] = nwk_mean(dist, y[a:b], kind, h, estimates[p, j])
-                active[p, j] = nearest <= h
+    x, y, offsets = partition.data.x, partition.data.y, partition.offsets
+    if family is EstimatorFamily.KNN:
+        for j, (a, b) in enumerate(itertools.pairwise(offsets)):
+            size = max(1, _CHUNK_PAIRS // (b - a))
+            for r in range(0, Q.shape[0], size):
+                dist = cdist(Q[r : r + size], x[a:b])
+                estimates[:, j, r : r + size] = knn_mean(dist, y[a:b], params)
+        return estimates, active, degenerate
+    kind, starts = _FAMILY_KERNEL[family], offsets[:-1]
+    size = max(1, _CHUNK_PAIRS // len(x))
+    for r in range(0, Q.shape[0], size):
+        # one block-major matrix per chunk; each block's columns reduce alone
+        rows = slice(r, r + size)
+        dist = cdist(Q[rows], x)
+        if kind is KernelKind.GAUSSIAN:
+            nearest = np.minimum.reduceat(dist, starts, axis=1).T
+        for p, h in enumerate(params):
+            raw = kernel_profile(kind, dist / h)
+            den = np.add.reduceat(raw, starts, axis=1).T
+            raw *= y
+            ok = den > 0.0
+            num = np.add.reduceat(raw, starts, axis=1).T
+            np.divide(num, den, out=estimates[p, :, rows], where=ok)
+            degenerate[p, :, rows] = ~ok
+            # a naive weight is nonzero exactly when d <= h (module docstring)
+            active[p, :, rows] = ok if kind is KernelKind.NAIVE else nearest <= h
     return estimates, active, degenerate
 
 

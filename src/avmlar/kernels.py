@@ -27,6 +27,9 @@ def kernel_profile(kind: KernelKind, norms: np.ndarray) -> np.ndarray:
     if kind is KernelKind.NAIVE:
         return (s <= 1.0).astype(np.float64)
     if kind is KernelKind.GAUSSIAN:
-        return np.exp(-(s**2))
+        # one buffer, bitwise np.exp(-(s**2)); empty_like keeps 0-d inputs 0-d
+        u = np.square(s, out=np.empty_like(s))
+        np.negative(u, out=u)
+        return np.exp(u, out=u)
     raise ValueError(f"unknown kernel kind: {kind!r}")
 

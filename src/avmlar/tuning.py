@@ -9,7 +9,7 @@ Every constant is scored by the prediction engine: per fold, the training
 folds form one block and one ``block_estimates`` call predicts the
 held-out fold at every candidate h or k. So each family and dimension runs
 on its prediction path (the sorted-window naive NWK and the sorted-run
-k-NN at d=1, one ``cdist`` per fold otherwise).
+k-NN at d=1, dense query chunks otherwise).
 """
 
 from __future__ import annotations

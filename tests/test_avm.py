@@ -28,6 +28,8 @@ from avmlar import avm
 from avmlar.avm import block_estimates, knn_mean
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
+NAIVE_D2 = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=2)
+GAUSSIAN_D2 = EstimatorConfig(EstimatorFamily.NWK_GAUSSIAN, r=1.0, d=2)
 
 
 def uniform_dataset(n, d=1, seed=0, const_y=None):
@@ -281,12 +283,17 @@ def test_knn_mean_over_a_k_grid_matches_oracle():
 
 def test_batch_matches_scalar_api():
     # a one-row call is bitwise the matching row of a larger batch; repeated
-    # queries share one k-NN run in the batch, which each one-row call sums alone
-    ds = uniform_dataset(50, seed=11)
-    queries = np.random.default_rng(11).random((20, 1))[[*range(20), 3, 17, 3, 0]]
-    for model in (
-        fit_avm(ds, NWK, 5, 2, Variant.A1_PLAIN, h=0.1),
-        fit_avm(ds, KNN, 5, 2, Variant.A1_PLAIN, k=3),
+    # queries share one k-NN run in the batch, which each one-row call sums
+    # alone, and a dense batch spans several query chunks
+    ds, ds2 = uniform_dataset(50, seed=11), uniform_dataset(3000, d=2, seed=11)
+    rng = np.random.default_rng(11)
+    queries1 = rng.random((20, 1))[[*range(20), 3, 17, 3, 0]]
+    queries2 = rng.random((60, 2))[[*range(60), 3, 59, 3]]
+    for model, queries in (
+        (fit_avm(ds, NWK, 5, 2, Variant.A1_PLAIN, h=0.1), queries1),
+        (fit_avm(ds, KNN, 5, 2, Variant.A1_PLAIN, k=3), queries1),
+        (fit_avm(ds2, GAUSSIAN_D2, 7, 2, Variant.A3_QUALIFIED, h=0.02), queries2),
+        (fit_avm(ds2, NAIVE_D2, 7, 2, Variant.A3_QUALIFIED, h=0.03), queries2),
     ):
         batch = predict_batch(model, queries)
         for i, q in enumerate(queries):
@@ -505,6 +512,75 @@ def test_sorted_paths_match_oracle_outside_the_normal_range(scale, spread):
     assert_knn_matches_oracle(ds, queries, ms=(1, 3))
 
 
+@pytest.mark.parametrize("layout", ["one-sample", "uneven"])
+def test_dense_nwk_matches_oracle_per_block(layout):
+    # every block's columns are reduced alone, whatever its size. Inputs and
+    # lattice queries are multiples of 1/16, so samples lie exactly at
+    # distance h; a far query underflows every Gaussian weight
+    rng = np.random.default_rng(23)
+    ds = Dataset(rng.integers(0, 17, (40, 2)) / 16, rng.normal(size=40))
+    if layout == "one-sample":
+        part = random_partition(ds, ds.n, 3)
+    else:
+        sizes = np.cumsum([1, 2, 13, 1, 20])
+        part = PartitionedDataset.from_indices(ds, np.split(rng.permutation(40), sizes))
+    lattice = rng.integers(-2, 19, (40, 2)) / 16
+    queries = np.vstack([rng.random((20, 2)), lattice, [[40.0, 40.0]]])
+    tol = 1e-12 * np.abs(ds.y).max()
+    blocks = [([tuple(r) for r in b.x], list(b.y)) for b in part.blocks]
+    for config, kind in ((NAIVE_D2, "naive"), (GAUSSIAN_D2, "gaussian")):
+        for h in (2 / 16, 5 / 16):
+            for variant, fn in (
+                (Variant.A1_PLAIN, oracles.avm_a1_nwk),
+                (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),
+            ):
+                batch = predict_batch(AvmModel(part, config, variant, h), queries)
+                assert_matches_oracle(batch, blocks, kind, h, queries, fn, tol)
+
+
+def test_dense_sums_do_not_depend_on_the_chunk_size(monkeypatch):
+    # at 16 distances per chunk every query row is its own chunk; each row and
+    # block is reduced alone, so the estimates and flags are bitwise the same
+    rng = np.random.default_rng(24)
+    part = random_partition(Dataset(rng.random((400, 2)), rng.normal(size=400)), 5, 0)
+    queries = rng.random((300, 2))
+    cases = [
+        (EstimatorFamily.NWK_NAIVE, [0.05, 0.3]),
+        (EstimatorFamily.NWK_GAUSSIAN, [0.05, 0.3]),
+        (EstimatorFamily.KNN, [1, 7]),
+    ]
+    default = [block_estimates(part, family, params, queries) for family, params in cases]
+    monkeypatch.setattr(avm, "_CHUNK_PAIRS", 16)
+    for (family, params), expected in zip(cases, default):
+        got = block_estimates(part, family, params, queries)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes(), family
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        (EstimatorFamily.NWK_NAIVE, 200_000),
+        (EstimatorFamily.NWK_GAUSSIAN, 50_000),
+        (EstimatorFamily.KNN, 50_000),
+    ],
+    ids=["naive", "gaussian", "knn"],
+)
+def test_dense_memory_is_bounded(family, n):
+    # one d=2 block: a query x sample matrix would take 1.5 GiB (naive) or
+    # 400 MB; query chunks of about _CHUNK_PAIRS distances hold a few MiB
+    ds = uniform_dataset(n, d=2, seed=25)
+    model = fit_avm(ds, EstimatorConfig(family, r=1.0, d=2), 1, 0)
+    queries = np.random.default_rng(25).random((1000, 2))
+    tracemalloc.start()
+    try:
+        predict_batch(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("n, m, k, t", [(50_000, 1, 32, 1000), (20_000, 10_000, 1, 50)])
 def test_knn_memory_is_bounded(n, m, k, t):
     # one block: query x sample distance and argpartition matrices would take
@@ -573,7 +649,7 @@ def test_knn_run_sums_do_not_depend_on_the_group_size(monkeypatch):
     part = random_partition(Dataset(rng.random((400, 1)), rng.normal(size=400)), 3, 0)
     queries, ks = rng.random((40, 1)), [1, 7, 60, part.min_block_size]
     one_group = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
-    monkeypatch.setattr(avm, "_KNN_PAIRS", 16)
+    monkeypatch.setattr(avm, "_CHUNK_PAIRS", 16)
     many = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
     assert many.tobytes() == one_group.tobytes()
 

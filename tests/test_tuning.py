@@ -184,6 +184,20 @@ def test_knn_cv_memory_is_bounded_at_sweep_size():
     assert peak < 16 * 2**20
 
 
+def test_gaussian_cv_memory_is_bounded():
+    # each fold is predicted in query chunks, not one 600 x 2,400 matrix per h
+    ds = generate_dataset(TargetModel(TargetKind.G1), 3_000, 0)
+    cfg = EstimatorConfig(EstimatorFamily.NWK_GAUSSIAN, r=1.0, d=1)
+    cv = CvConfig(default_constant_grid(), folds=5, seed=0)
+    tracemalloc.start()
+    try:
+        cv_select_constant(ds, cfg, cv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("sweep", ["sim1-variants", "sim1-knn"])
 def test_selection_matches_benchmark_reference(sweep):
     # the constants the benchmark records for its reduced-size sweeps
