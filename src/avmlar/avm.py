@@ -13,41 +13,43 @@ For the k-NN family the localization radius adapts per block, so every
 block is always active and all three variants coincide with A1.
 
 Every prediction path and CV score runs through the core below:
-``_naive_sorted_1d`` and ``_knn_sorted_1d`` (sorted NWK-naive and k-NN at
-d=1), ``knn_mean`` (the one k-NN selector and tie rule, over a grid of k),
+``_sorted_1d`` (NWK-naive and k-NN at d=1), ``knn_mean`` (the one k-NN
+selector and tie rule, over a grid of k, called by ``_knn_dense`` alone),
 ``block_estimates`` (which also holds the dense NWK path), ``combine``, and
 ``_rule_h_or_k`` for h and k.
 
 ``block_estimates`` takes a grid of h or k and returns (P, m, q) arrays,
 one row per parameter, reading the partition once for the grid. It picks
 its path by family and input dimension. At d=1 the naive kernel and k-NN
-take sorted paths over the partition's ``x_order`` (each block sorted once
-per partition) and build no query x sample matrix. Every other case
+take ``_sorted_1d`` over the partition's ``x_order`` (each block sorted
+once per partition) and build no query x sample matrix. Every other case
 (Gaussian, d>1) is dense, in query chunks of about ``_CHUNK_PAIRS``
-distances. Dense NWK takes one ``cdist`` per chunk over the block-major
-samples and sums each block's columns with ``np.add.reduceat``; dense k-NN
-takes one ``cdist`` per block and chunk for ``knn_mean``. Every path
-measures the distance ``cdist`` computes; at d=1 that is ``distance_1d``.
+distances: NWK takes one ``cdist`` per chunk over the block-major samples
+and sums each block's columns with ``np.add.reduceat``; k-NN takes one
+``cdist`` per block and chunk for ``knn_mean``. Every path measures the
+distance ``cdist`` computes; at d=1 that is ``distance_1d``.
 
-* Naive NWK: a query's kernel window is the run of samples between two
-  ``searchsorted`` edges, summed with ``np.add.reduceat``. The edges are
-  placed by the test ``distance_1d(q, x) <= h`` itself (``_lower_edge``),
-  not by ``q - h`` and ``q + h``, which can be off by many doubles. For
-  finite positive ``d`` and ``h``, ``fl(d / h) <= 1`` holds exactly when
-  ``d <= h``, so the naive kernel weight is nonzero exactly when the A3
-  activity test holds: on this path a block is active exactly when it is
-  not degenerate.
-* k-NN: the k nearest samples are a run of the sorted block, placed by
-  the count of keys ``x[i] + x[i + k]`` exactly below ``2q``. The key can
-  overflow and ``distance_1d`` rounds, so it only steers: a pair is decided
-  when both samples just outside the run are farther, by ``distance_1d``,
-  than the larger run end. Every other pair goes to ``knn_mean``, so ties
-  are still ordered in one place. Both d=1 paths sum with ``np.add.reduceat``.
+At d=1 both estimates are the mean of a run [lo, hi) of the sorted block:
+``_counts`` places lo and hi by counting samples or keys below a threshold,
+and ``_run_means`` sums each distinct run once with ``np.add.reduceat``.
+
+* Naive NWK: the run is the window ``distance_1d(q, x) <= h``, its edges
+  placed by that test itself (``_lower_edge``), not by ``q - h`` and
+  ``q + h``, which can be off by many doubles. For finite positive ``d``
+  and ``h``, ``fl(d / h) <= 1`` holds exactly when ``d <= h``, so the naive
+  kernel weight is nonzero exactly when the A3 activity test holds: on
+  this path a block is active exactly when it is not degenerate.
+* k-NN: lo counts the keys ``x[i] + x[i + k]`` exactly below ``2q``, as
+  the run moves past sample i while ``x[i + k]`` is nearer q, and hi is
+  lo + k. The key can overflow and ``distance_1d`` rounds, so it only
+  steers: a pair is decided when both samples just outside the run are
+  farther, by ``distance_1d``, than the larger run end (distances fall then
+  rise along the block, so the run is the unique k nearest). Every other
+  pair goes to ``_knn_dense``, so ties are still ordered in one place.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -298,123 +300,124 @@ def _lower_edge(q: np.ndarray, h: float) -> np.ndarray:
         return _double(_bisect(lo, hi, lambda x: q - x <= g))
 
 
-def _naive_sorted_1d(
-    partition: PartitionedDataset, hs: Sequence[float], q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Naive-kernel block estimates and degenerate flags, shape (len(hs), m, len(q)).
-
-    A sample is in a query's window exactly when ``distance_1d(q, x) <= h``.
-    That is the dense path's kernel test ``cdist / h <= 1``: at d=1
-    ``cdist`` is ``distance_1d``, and ``fl(d / h) <= 1`` holds exactly when
-    ``d <= h``. Block sums run in sorted-x order.
-    """
-    order = np.argsort(q, kind="stable")
-    # rounding is symmetric: the upper edge at q is the lower edge at -q, negated
-    both = np.concatenate([q[order], -q[order]])
-    estimates = np.empty((len(hs), partition.m, len(q)))
-    degenerate = np.empty(estimates.shape, dtype=bool)
-    # one h at a time, so the grid adds no temporaries
-    sums = np.empty((partition.m, len(q)))
-    counts = np.empty(sums.shape, dtype=np.intp)
-    edges = np.empty(2 * len(q), dtype=np.intp)
-    left, right = edges[0::2], edges[1::2]
-    by_x = partition.x_order
-    # one trailing sentinel makes right == n a valid reduceat index in every block
-    x, y = partition.data.x[by_x, 0], np.append(partition.data.y[by_x], 0.0)
-    for p, h in enumerate(hs):
-        bounds = _lower_edge(both, h)
-        lower, upper = bounds[: len(q)], -bounds[len(q) :]
-        for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
-            left[:] = np.searchsorted(x[a:b], lower, side="left")
-            right[:] = np.searchsorted(x[a:b], upper, side="right")
-            # an empty window (left == right) sums one element; it is zeroed below
-            sums[j] = np.add.reduceat(y[a : b + 1], edges)[0::2]
-            counts[j] = right - left
-        empty = counts == 0
-        np.divide(sums, counts, out=sums, where=~empty)
-        sums[empty] = 0.0
-        estimates[p][:, order] = sums
-        degenerate[p][:, order] = empty
-    return estimates, degenerate
-
-
-# (block, query) pairs per block group of ``_knn_sorted_1d``, and distances per
+# (block, query) pairs per block group of ``_sorted_1d``, and distances per
 # dense query chunk or ``knn_mean`` call: temporaries stay O(pairs) as N, m and
 # k grow, and a dense chunk stays cache-sized
 _CHUNK_PAIRS = 2**16
 
 
-def _knn_sorted_1d(
-    partition: PartitionedDataset, ks: Sequence[int], q: np.ndarray
-) -> np.ndarray:
-    """k-NN block estimates at 1-d queries ``q``, shape (len(ks), m, len(q)).
+def _sorted_1d(
+    partition: PartitionedDataset, family: EstimatorFamily, params: Sequence[float], q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run means and flags at 1-d queries ``q``, shape (len(params), m, len(q)).
 
-    In a block sorted by x the k nearest samples are a run [L, L+k); L
-    counts the keys ``x[i] + x[i + k]`` exactly below 2q, as the run moves
-    past sample i while ``x[i + k]`` is nearer q. The key can overflow and
-    ``distance_1d`` rounds, so it only steers: a pair is decided when both
-    samples just outside the run are farther than its larger end (distances
-    fall then rise along the block, so the run is the unique k nearest); any
-    other pair goes to ``knn_mean``, which orders ties. Runs are summed with
-    ``np.add.reduceat``, in block groups of ~``_CHUNK_PAIRS`` pairs.
+    Flags mark the degenerate pairs (naive) or the undecided ones (k-NN).
+    Each h or k walks the blocks in groups of about ``_CHUNK_PAIRS`` pairs.
     """
-    m, order = partition.m, np.argsort(q, kind="stable")
+    m, t, naive = partition.m, len(q), family is EstimatorFamily.NWK_NAIVE
+    order = np.argsort(q, kind="stable")
     qs = q[order]
     offsets, by_x = partition.offsets, partition.x_order
     x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
-    estimates = np.empty((len(ks), m, len(q)))
-    decided = np.empty(estimates.shape, dtype=bool)
-    step = max(1, _CHUNK_PAIRS // max(1, len(q)))
-    for j in range(0, m, step):
-        a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
-        group = offsets[j : j + step + 1] - a
-        for p, k in enumerate(ks):
-            means, decided[p, blocks] = _knn_runs(x[a:b], y[a:b], group, k, qs)
-            estimates[p][blocks, order] = means
-    x, y = partition.data.x, partition.data.y
-    for p, j in zip(*np.nonzero(~decided.all(axis=2))):
+    estimates = np.empty((len(params), m, t))
+    flags = np.zeros(estimates.shape, dtype=bool)
+    step = max(1, _CHUNK_PAIRS // max(1, t))
+    for p, h_or_k in enumerate(params):
+        if naive:
+            # rounding is symmetric: the upper edge at q is the lower edge at -q, negated
+            bounds = _lower_edge(np.concatenate([qs, -qs]), h_or_k)
+            lower, upper = bounds[:t], -bounds[t:]
+        else:
+            # key[i] = x[i] + x[i + k], one double down where it rounded up
+            # (TwoSum's error is negative), so ``key < 2q`` is exact; inf where
+            # i + k is past i's block, so that key counts for no query
+            k, key = h_or_k, np.empty_like(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                twice = 2 * qs
+                near, far = x[:-k], x[k:]
+                s = np.add(near, far, out=key[:-k])
+                err = (near - (s - (s - near))) + (far - (s - near))
+                np.nextafter(s, -np.inf, out=s, where=err < 0)
+            key[(offsets[1:, None] - k + np.arange(k)).ravel()] = np.inf
+        for j in range(0, m, step):
+            a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
+            group, xg = offsets[j : j + step + 1] - a, x[a:b]
+            if naive:
+                lo = _counts(xg, group, lower, "left")
+                hi = _counts(xg, group, upper, "right")
+                flag = hi == lo
+            else:
+                lo = _counts(key[a:b], group, twice, "left")
+                hi = lo + k
+                # decided: the sample just outside each side is past the block
+                # end or farther than both run ends
+                end = np.maximum(distance_1d(qs, xg[lo]), distance_1d(qs, xg[hi - 1]))
+                left = distance_1d(qs, xg.take(lo - 1, mode="clip")) > end
+                right = distance_1d(qs, xg.take(hi, mode="clip")) > end
+                flag = ~((left | (lo == group[:-1, None])) & (right | (hi == group[1:, None])))
+            estimates[p][blocks, order] = _run_means(y[a:b], lo, hi)
+            if flag.any():
+                flags[p][blocks, order] = flag
+    return estimates, flags
+
+
+def _counts(v: np.ndarray, offsets: np.ndarray, thr: np.ndarray, side: str) -> np.ndarray:
+    """Per block, its start plus its samples below (``side="right"``: at or
+    below) each sorted threshold; block j is ``v[offsets[j]:offsets[j + 1]]``
+    and ``offsets[0]`` is 0. One block (every CV fold) is searched per
+    threshold; several share one pass that places each sample among them.
+    """
+    if len(offsets) == 2:
+        return np.searchsorted(v, thr, side)[None]
+    # each sample counts from the first threshold it is below (at or below);
+    # every sample is placed, so one running sum goes on from each block's start
+    m, t = len(offsets) - 1, len(thr)
+    block = np.repeat(np.arange(m), np.diff(offsets))
+    place = np.searchsorted(thr, v, "right" if side == "left" else "left")
+    counts = np.bincount(block * (t + 1) + place, minlength=m * (t + 1))
+    return counts.cumsum().reshape(m, t + 1)[:, :t]
+
+
+def _run_means(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mean of ``y[lo:hi]`` per entry of ``lo`` and ``hi``, 0 where the run is empty.
+
+    ``lo`` and ``hi`` rise in (block, query) order, so equal runs are
+    adjacent: each distinct run is summed once over the interleaved edges
+    (lo, hi) and repeated back; a trailing 0 makes a run end at ``len(y)`` a
+    valid ``reduceat`` index.
+    """
+    lo, hi, shape = lo.ravel(), hi.ravel(), lo.shape
+    new = np.ones(lo.size, dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    first = np.flatnonzero(new)
+    lo, hi = lo[first], hi[first]
+    sums = np.add.reduceat(np.append(y, 0.0), np.stack([lo, hi], axis=1).ravel())[0::2]
+    size = hi - lo
+    means = np.divide(sums, size, out=np.zeros_like(sums), where=size > 0)
+    return np.repeat(means, np.diff(first, append=new.size)).reshape(shape)
+
+
+def _knn_dense(
+    partition: PartitionedDataset,
+    ks: Sequence[int],
+    Q: np.ndarray,
+    estimates: np.ndarray,
+    todo: np.ndarray,
+) -> None:
+    """Write ``knn_mean`` into the (len(ks), m, q) ``estimates`` where ``todo`` is set.
+
+    Per block, the rows with a pair to do take one ``cdist`` per chunk of
+    about ``_CHUNK_PAIRS`` distances; a row's means do not depend on the
+    other rows or ks, so no value written depends on the chunks or on
+    which other pairs are to do.
+    """
+    x, y, offsets = partition.data.x, partition.data.y, partition.offsets
+    for j in np.flatnonzero(todo.any(axis=(0, 2))):
         a, b = offsets[j : j + 2]
-        rows, size = order[~decided[p, j]], max(1, _CHUNK_PAIRS // (b - a))
+        rows, size = np.flatnonzero(todo[:, j].any(axis=0)), max(1, _CHUNK_PAIRS // (b - a))
         for r in np.array_split(rows, range(size, len(rows), size)):
-            estimates[p, j, r] = knn_mean(cdist(q[r, None], x[a:b]), y[a:b], [ks[p]])[0]
-    return estimates
-
-
-def _knn_runs(
-    x: np.ndarray, y: np.ndarray, offsets: np.ndarray, k: int, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run means and decided flags, (blocks, len(q)), of x-sorted blocks at sorted q."""
-    m, t = len(offsets) - 1, len(q)
-    starts, ends = offsets[:-1, None], offsets[1:, None]
-    # first[j, i]: block j's start plus its keys below 2 q_i, counted per block
-    # by the first query above each key and accumulated; a key whose i + k is
-    # past its block counts for no query. A key that rounded up (TwoSum's error
-    # is negative) steps down one double, so ``key < 2q`` is the exact test
-    block = np.repeat(np.arange(m), np.diff(offsets))[: len(x) - k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        key, lo, hi = x[:-k] + x[k:], x[:-k], x[k:]
-        err = (lo - (key - (key - lo))) + (hi - (key - lo))
-        np.nextafter(key, -np.inf, out=key, where=err < 0)
-        above = np.searchsorted(2 * q, key, side="right")
-    above[np.arange(len(block)) + k >= offsets[1:][block]] = t
-    counts = np.bincount(block * (t + 1) + above, minlength=m * (t + 1))
-    first = counts.reshape(m, t + 1).cumsum(axis=1)[:, :t] + starts
-    # decided: the sample just outside each side is past the block end or
-    # farther than both run ends
-    end = np.maximum(distance_1d(q, x[first]), distance_1d(q, x[first + k - 1]))
-    left = (first == starts) | (distance_1d(q, x.take(first - 1, mode="clip")) > end)
-    right = (first + k == ends) | (distance_1d(q, x.take(first + k, mode="clip")) > end)
-    decided = left & right
-    # the run starts rise in (block, query) order: each distinct run is summed
-    # once over the interleaved edges (start, start + k) and mapped back; a
-    # trailing 0 makes a run end at the last block's end a valid reduceat index
-    run = first.ravel()
-    new = np.ones(run.size, dtype=bool)
-    new[1:] = run[1:] != run[:-1]
-    edges = np.repeat(run[new], 2)
-    edges[1::2] += k
-    means = np.add.reduceat(np.append(y, 0.0), edges)[0::2] / k
-    return means[np.cumsum(new) - 1].reshape(m, t), decided
+            means = knn_mean(cdist(Q[r], x[a:b]), y[a:b], ks)
+            estimates[:, j, r] = np.where(todo[:, j, r], means, estimates[:, j, r])
 
 
 def block_estimates(
@@ -431,33 +434,30 @@ def block_estimates(
     with a sample within ``h`` of the query (every k-NN block is active
     and none is degenerate).
 
-    At d=1 the naive kernel and k-NN take the sorted paths
-    ``_naive_sorted_1d`` and ``_knn_sorted_1d``, which share one query sort
-    over the grid; on every naive path a block is active exactly when it is
-    not degenerate (see the module docstring). Every other case is dense:
-    each chunk of query rows takes one ``cdist`` matrix, against all the
-    samples for NWK and against each block for k-NN, which serves the whole
-    grid. Every block and row is reduced alone, so no result depends on the
-    chunk size or on the other queries in the batch.
+    At d=1 the naive kernel and k-NN take ``_sorted_1d``, which sorts the
+    queries once for the grid, and k-NN's undecided pairs go to
+    ``_knn_dense``, as every k-NN pair does at d>1. Dense NWK takes one
+    ``cdist`` matrix per chunk of query rows, against all the samples, for
+    the whole grid. Every block and row is reduced alone, so no result
+    depends on the chunk size or on the other queries in the batch.
     """
     shape = (len(params), partition.m, Q.shape[0])
     if family is EstimatorFamily.KNN:
         params = [int(k) for k in params]
     if Q.shape[1] == 1 and family is EstimatorFamily.NWK_NAIVE:
-        estimates, degenerate = _naive_sorted_1d(partition, params, Q[:, 0])
+        estimates, degenerate = _sorted_1d(partition, family, params, Q[:, 0])
         return estimates, ~degenerate, degenerate
     active, degenerate = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    if Q.shape[1] == 1 and family is EstimatorFamily.KNN:
-        return _knn_sorted_1d(partition, params, Q[:, 0]), active, degenerate
+    if family is EstimatorFamily.KNN:
+        # at d=1 only the undecided pairs are left to do, at d>1 every pair
+        if Q.shape[1] == 1:
+            estimates, todo = _sorted_1d(partition, family, params, Q[:, 0])
+        else:
+            estimates, todo = np.zeros(shape), active
+        _knn_dense(partition, params, Q, estimates, todo)
+        return estimates, active, degenerate
     estimates = np.zeros(shape)
     x, y, offsets = partition.data.x, partition.data.y, partition.offsets
-    if family is EstimatorFamily.KNN:
-        for j, (a, b) in enumerate(itertools.pairwise(offsets)):
-            size = max(1, _CHUNK_PAIRS // (b - a))
-            for r in range(0, Q.shape[0], size):
-                dist = cdist(Q[r : r + size], x[a:b])
-                estimates[:, j, r : r + size] = knn_mean(dist, y[a:b], params)
-        return estimates, active, degenerate
     kind, starts = _FAMILY_KERNEL[family], offsets[:-1]
     size = max(1, _CHUNK_PAIRS // len(x))
     for r in range(0, Q.shape[0], size):

@@ -8,8 +8,8 @@ The winner is the grid argmin, ties going to the smaller constant.
 Every constant is scored by the prediction engine: per fold, the training
 folds form one block and one ``block_estimates`` call predicts the
 held-out fold at every candidate h or k. So each family and dimension runs
-on its prediction path (the sorted-window naive NWK and the sorted-run
-k-NN at d=1, dense query chunks otherwise).
+on its prediction path (the sorted-run engine for naive NWK and k-NN at
+d=1, dense query chunks otherwise).
 """
 
 from __future__ import annotations

@@ -641,17 +641,27 @@ def test_knn_falls_back_only_where_the_kth_nearest_ties(monkeypatch):
         assert sum(rows) == ties, k
 
 
-def test_knn_run_sums_do_not_depend_on_the_group_size(monkeypatch):
-    # at 16 pairs per group each block is its own group, its runs summed by
-    # their own reduceat; a run's sum depends only on its samples, so the
-    # estimates are bitwise those of one group of every block
+def test_sorted_runs_do_not_depend_on_the_group_size(monkeypatch):
+    # by default the 3 blocks form one group, whose run ends are counted in one
+    # pass over its samples; at 16 pairs per group each block is its own group,
+    # searched per query. A run's ends and sum depend only on its block, so
+    # every output is bitwise the same. On the 1/1024 lattice h = 20/1024 puts
+    # samples exactly on window edges, and h = 2**-12 leaves most windows empty
     rng = np.random.default_rng(20)
-    part = random_partition(Dataset(rng.random((400, 1)), rng.normal(size=400)), 3, 0)
-    queries, ks = rng.random((40, 1)), [1, 7, 60, part.min_block_size]
-    one_group = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
+    x = rng.integers(0, 1024, (400, 1)) / 1024
+    part = random_partition(Dataset(x, rng.normal(size=400)), 3, 0)
+    queries = rng.integers(0, 1024, (40, 1)) / 1024
+    cases = [
+        (EstimatorFamily.NWK_NAIVE, [2**-12, 20 / 1024, 0.3]),
+        (EstimatorFamily.KNN, [1, 7, 60, part.min_block_size]),
+    ]
+    one_group = [block_estimates(part, family, params, queries) for family, params in cases]
+    assert one_group[0][2][0].mean() > 0.5  # degenerate
     monkeypatch.setattr(avm, "_CHUNK_PAIRS", 16)
-    many = block_estimates(part, EstimatorFamily.KNN, ks, queries)[0]
-    assert many.tobytes() == one_group.tobytes()
+    for (family, params), expected in zip(cases, one_group):
+        got = block_estimates(part, family, params, queries)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes(), family
 
 
 def test_knn_fallback_memory_is_bounded(monkeypatch):

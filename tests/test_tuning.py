@@ -146,15 +146,24 @@ def test_knn_scores_match_exhaustive_rescoring(data):
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
-def test_gaussian_cv_makes_one_cdist_per_fold(monkeypatch):
-    # the fold's distance matrix serves every candidate bandwidth
-    calls = []
-    monkeypatch.setattr(avm, "cdist", lambda *a: calls.append(a) or cdist(*a))
-    ds = generate_dataset(TargetModel(TargetKind.G1), 200, 8)
+def test_gaussian_cv_measures_each_fold_distance_once(monkeypatch):
+    # the fold's distances serve every candidate bandwidth: its query chunks
+    # take several cdist calls, which together hold each test x train pair once
+    sizes = []
+
+    def counting_cdist(*args):
+        dist = cdist(*args)
+        sizes.append(dist.size)
+        return dist
+
+    monkeypatch.setattr(avm, "cdist", counting_cdist)
+    ds = generate_dataset(TargetModel(TargetKind.G1), 1_000, 8)
     cfg = EstimatorConfig(EstimatorFamily.NWK_GAUSSIAN, r=1.0, d=1)
     cv = CvConfig(default_constant_grid(0.1, 2.0, 6), folds=4, seed=9)
     cv_score_grid(ds, cfg, cv)
-    assert len(calls) == cv.folds
+    test = np.diff(random_partition(ds, cv.folds, cv.seed).offsets)
+    assert sum(sizes) == np.sum(test * (ds.n - test))
+    assert len(sizes) > cv.folds
 
 
 def test_naive_cv_memory_is_bounded_at_sweep_size():
@@ -171,7 +180,7 @@ def test_naive_cv_memory_is_bounded_at_sweep_size():
 
 
 def test_knn_cv_memory_is_bounded_at_sweep_size():
-    # one reduceat over distinct runs per fold and k, not a fold x fold matrix
+    # one sorted-run pass per fold and k, not a fold x fold matrix
     ds = generate_dataset(TargetModel(TargetKind.G1), 10_000, 0)
     cfg = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
     cv = CvConfig(default_constant_grid(), folds=5, seed=0)
