@@ -414,6 +414,16 @@ def test_model_validation():
             predict_batch(model, [[0.5], [bad]])  # non-finite query
 
 
+@pytest.mark.parametrize("cfg", [NWK, GAUSSIAN_D2], ids=["d1", "d2"])
+def test_a2_rejects_non_finite_candidates(cfg):
+    ds = uniform_dataset(40, d=cfg.d, seed=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        cand = default_candidates(ds)
+        cand[5, -1] = bad
+        with pytest.raises(ValueError, match="candidates must be finite"):
+            fit_avm(ds, cfg, 4, 0, Variant.A2_DATA_DEPENDENT, candidates=cand)
+
+
 def test_naive_window_edge_holds_duplicate_run():
     # x_in lies below q - h, yet |q - x_in| <= h in float arithmetic, because
     # q - x_in rounds; x_out, the next double down, is outside. Runs of three

@@ -50,6 +50,15 @@ def test_knn_rejects_covering_radius_candidates():
         compute_ge_le_ae(train, test, knn, 2, seed=1, candidates=cand)
 
 
+def test_kernel_sweep_rejects_non_finite_candidates():
+    train, test = small_data(n=60)
+    for bad in (np.nan, np.inf, -np.inf):
+        cand = np.linspace(0.0, 1.0, 11)[:, None]
+        cand[4, 0] = bad
+        with pytest.raises(ValueError, match="candidates must be finite"):
+            compute_ge_le_ae(train, test, NWK, 2, seed=1, variants=ALL, candidates=cand)
+
+
 def test_ge_constant_across_m():
     train, test = small_data(seed=2)
     rows = [

@@ -134,16 +134,21 @@ def test_mesh_norm_center_block():
     assert one_block_radius(blk, grid_1d()) == pytest.approx(0.50, abs=0.01)
 
 
-def test_mesh_norm_matches_brute_force():
-    rng = np.random.default_rng(6)
+def oracle_radius(x, candidates):
+    return oracles.mesh_norm([tuple(r) for r in x], [tuple(r) for r in candidates])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_mesh_norm_matches_brute_force(d, scale):
+    # at 1e-160 the squared gaps are subnormal or zero, at 1e160 they overflow
+    rng = np.random.default_rng(6 + d)
     for _ in range(25):
-        d = int(rng.integers(1, 6))
         n = int(rng.integers(1, 12))
         c = int(rng.integers(1, 15))
-        blk = Dataset(rng.random((n, d)), np.zeros(n))
-        cand = rng.random((c, d))
-        expected = oracles.mesh_norm([tuple(r) for r in blk.x], [tuple(r) for r in cand])
-        assert one_block_radius(blk, cand) == pytest.approx(expected, abs=1e-12)
+        blk = Dataset(rng.random((n, d)) * scale, np.zeros(n))
+        cand = rng.random((c, d)) * scale
+        assert one_block_radius(blk, cand) == oracle_radius(blk.x, cand)
 
 
 def test_mesh_norm_1d_is_exact():
@@ -161,6 +166,63 @@ def test_mesh_norm_1d_is_exact():
         assert one_block_radius(Dataset(x, np.zeros(n)), cand) == expected
 
 
+def test_mesh_norm_1d_blocks_match_oracle():
+    # one pass serves every block: one-sample blocks, duplicate inputs, m = N,
+    # and unsorted candidates on a 1/20 lattice, each four times, beyond
+    # both domain ends. The last two inputs are 3 ulps apart; their midpoint
+    # is a tie that rounds down to a candidate repeated past the window, so
+    # that gap is scored over every candidate
+    rng = np.random.default_rng(12)
+    ulp = 2.0**-52
+    x = np.append(rng.integers(0, 21, size=60) / 10, [1 + ulp, 1 + 4 * ulp])[:, None]
+    cand = np.concatenate(
+        [np.repeat(np.arange(-10, 51) / 20, 4), np.full(7, 1 + 2 * ulp), [1 + 3 * ulp]]
+    )
+    cand = rng.permutation(cand)[:, None]
+    ds = Dataset(x, np.zeros(62))
+    sizes = [1, 1, 7, 1, 2, 12, 1, 3, 1, 20, 1, 12]
+    order = np.append(rng.permutation(60), [60, 61])
+    for part in (
+        PartitionedDataset.from_indices(ds, np.split(order, np.cumsum(sizes)[:-1])),
+        random_partition(ds, 62, 1),
+        random_partition(ds, 4, 2),
+    ):
+        expected = [oracle_radius(b.x, cand) for b in part.blocks]
+        assert mesh_norm_report(part, cand).tolist() == expected
+    # candidates only inside that gap: its score alone is the radius
+    part = PartitionedDataset.from_indices(ds, [np.arange(60), np.array([61, 60])])
+    inside = np.append(np.full(7, 1 + 2 * ulp), 1 + 3 * ulp)[:, None]
+    expected = [oracle_radius(b.x, inside) for b in part.blocks]
+    assert mesh_norm_report(part, inside).tolist() == expected
+    assert expected[1] == ulp
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160])
+def test_mesh_norm_both_d2_rules_match_oracle(scale):
+    # one block above the directed Hausdorff limit (2,000 samples at d=2)
+    # takes the k-d tree; the 1-10 sample blocks take directed Hausdorff
+    rng = np.random.default_rng(13)
+    sizes = [2100] + rng.integers(1, 11, size=50).tolist()
+    n = sum(sizes)
+    ds = Dataset(rng.random((n, 2)) * scale, np.zeros(n))
+    indices = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+    part = PartitionedDataset.from_indices(ds, indices)
+    cand = rng.random((40, 2)) * 1.2 * scale
+    expected = [oracle_radius(b.x, cand) for b in part.blocks]
+    assert mesh_norm_report(part, cand).tolist() == expected
+
+
+@pytest.mark.parametrize("n, d", [(5, 1), (5, 2), (2500, 2)], ids=["d1", "hausdorff", "tree"])
+def test_mesh_norm_rejects_non_finite_candidates(n, d):
+    rng = np.random.default_rng(14)
+    part = random_partition(Dataset(rng.random((n, d)), np.zeros(n)), 1, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        cand = rng.random((6, d))
+        cand[3, -1] = bad
+        with pytest.raises(ValueError, match="candidates must be finite"):
+            mesh_norm_report(part, cand)
+
+
 def test_x_order_sorts_each_block_stably():
     # a 1/4 lattice: many equal inputs in every block keep their block order
     rng = np.random.default_rng(11)
@@ -175,15 +237,21 @@ def test_x_order_sorts_each_block_stably():
     assert part.x_order is part.x_order  # sorted once per partition
 
 
-def test_mesh_norm_memory_is_bounded():
-    # a candidate-by-sample distance array would take 4000 * 1000 * 5 * 8 B
+@pytest.mark.parametrize(
+    "n, d, m",
+    [(1000, 5, 1), (1000, 5, 100), (20_000, 1, 10_000)],
+    ids=["d5-one-block", "d5-small-blocks", "d1-half"],
+)
+def test_mesh_norm_memory_is_bounded(n, d, m):
+    # a candidate-by-sample distance array would take 4000 * n * d * 8 B;
+    # one k-d tree (one block), many directed Hausdorff calls (m = n/10),
+    # and the d=1 gap pass at m = n/2
     rng = np.random.default_rng(9)
-    blk = Dataset(rng.random((1000, 5)), np.zeros(1000))
-    whole = PartitionedDataset.from_indices(blk, [np.arange(blk.n)])
-    cand = rng.random((4000, 5))
+    part = random_partition(Dataset(rng.random((n, d)), np.zeros(n)), m, 0)
+    cand = rng.random((4000, d))
     tracemalloc.start()
     try:
-        mesh_norm_report(whole, cand)
+        mesh_norm_report(part, cand)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
