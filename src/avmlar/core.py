@@ -182,7 +182,10 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
                 continue
             if len(row) != len(header):
                 raise InvalidDataError(f"{path}:{lineno}: expected {len(header)} fields")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InvalidDataError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise InvalidDataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=np.float64)

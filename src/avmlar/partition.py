@@ -6,10 +6,11 @@ approximated on a finite candidate set; ``default_candidates`` supplies
 the standard choice and callers may override it.
 
 ``mesh_norm_report`` takes every block at d=1 in one pass over the gaps
-between sorted samples, with no loop over blocks. At d>1 it takes a
-small block by directed Hausdorff (Taha & Hanbury 2015), which stops
-scanning a candidate at the first sample nearer than the largest
-distance found so far, and a large block by a k-d tree.
+between sorted samples, scoring the three distinct candidates around each
+gap's midpoint, with no loop over blocks. At d>1 it takes a small block
+by directed Hausdorff (Taha & Hanbury 2015), which stops scanning a
+candidate at the first sample nearer than the largest distance found so
+far, and a large block by a k-d tree.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from scipy.spatial.distance import directed_hausdorff
 
 from .core import Dataset, distance_1d
 
-# candidates scored on each side of a gap's midpoint at d=1
-_GAP_WINDOW = 3
 # at d>1 a block of at most this many samples per dimension is taken by
 # directed Hausdorff, a larger one by a k-d tree. Measured on uniform data,
 # the two cost the same at about 2,000 samples for d=2 (20,000 candidates)
@@ -131,19 +130,21 @@ def mesh_norm_report(
     radius. Candidates must be finite.
 
     At d=1 the blocks are taken in one pass over the gaps between
-    neighbours in ``x_order``. A candidate ``c`` in the gap ``(lo, hi]``
-    scores ``min(c - lo, hi - c)``; candidates below the first sample or
+    neighbours in ``x_order``. A candidate ``c`` scores ``min(c - lo,
+    hi - c)`` in the gap ``(lo, hi]``; candidates below the first sample or
     above the last score their distance to it, so the block ends take the
-    extreme candidates. Rounding is monotone, so ``fl(c - lo)`` is
-    nondecreasing in ``c`` and ``fl(hi - c)`` nonincreasing, and whether
-    ``fl(c - lo) >= fl(hi - c)`` holds turns from false to true once along
-    the sorted candidates; the gap's maximum is at one of the two
-    candidates beside that turn. Candidates outside the gap score zero or
-    less, so the turn may be sought over all of them: it lies near the
-    gap's midpoint, and ``_GAP_WINDOW`` candidates on each side of the
-    midpoint's place are scored. A gap whose window does not hold the turn
-    is scored over every candidate. The radius is measured with
-    ``distance_1d``, as ``cdist`` measures it.
+    extreme candidates. Rounding is monotone, so ``min(fl(c - lo), fl(hi -
+    c)) = fl(min(c - lo, hi - c))``, through overflow to inf as well: the
+    float score is nondecreasing in the exact one, ``(hi - lo)/2 - |c -
+    mid|``, and the candidate nearest the exact midpoint is best. Each half
+    of ``lo*0.5 + hi*0.5`` is exact outside the subnormal range and the sum
+    rounds once (inside it the halves round on one fixed step and the sum
+    is exact), so no double lies strictly between it and the exact
+    midpoint. Among distinct sorted candidates the nearest on each side of
+    the midpoint is therefore at ``place - 1``, ``place`` or ``place + 1``,
+    ``place`` being the insertion point of ``lo*0.5 + hi*0.5``; repeated
+    candidates would break this, so they are merged first. The radius is
+    measured with ``distance_1d``, as ``cdist`` measures it.
 
     At d>1 a block of at most ``_HAUSDORFF_SAMPLES_PER_DIM * d`` samples
     is taken by ``directed_hausdorff``, which breaks off a candidate as
@@ -169,32 +170,21 @@ def mesh_norm_report(
             else:
                 radii[j] = np.max(cKDTree(x[a:b]).query(cand)[0])
         return radii
-    c = np.sort(cand[:, 0])
+    c = np.unique(cand[:, 0])
     xs = x[partition.x_order, 0]
     starts, ends = partition.offsets[:-1], partition.offsets[1:] - 1
-    # best[i] is the best score in the gap (xs[i-1], xs[i]); a block's
-    # first entry holds the better of its two ends instead
-    best = np.empty(len(xs))
-    best[starts] = np.maximum(xs[starts] - c[0], c[-1] - xs[ends])
     inner = np.ones(len(xs), dtype=bool)
     inner[starts] = False
     gap = np.flatnonzero(inner)
     lo, hi = xs[gap - 1], xs[gap]
     place = np.searchsorted(c, lo * 0.5 + hi * 0.5)
-    # entry place + k of the padded set is candidate place + k - _GAP_WINDOW,
-    # clipped to the set
-    padded = np.pad(c, _GAP_WINDOW, mode="edge")
-    score = np.full(len(gap), -np.inf)
-    for k in range(2 * _GAP_WINDOW):
-        near = padded[place + k]
-        np.maximum(score, np.minimum(near - lo, hi - near), out=score)
-    best[gap] = score
-    # the window holds the turn if each end is a candidate set end or lies
-    # on its own side of the turn
-    first, last = padded[place], padded[place + 2 * _GAP_WINDOW - 1]
-    held = (place <= _GAP_WINDOW) | (first - lo < hi - first)
-    held &= (place >= len(c) - _GAP_WINDOW) | (last - lo >= hi - last)
-    for g in np.flatnonzero(~held):
-        best[gap[g]] = np.max(np.minimum(c - lo[g], hi[g] - c))
+    near = c[np.clip(place + np.arange(-1, 2)[:, None], 0, len(c) - 1)]
+    # best[i] is the best score in the gap (xs[i-1], xs[i]); a block's
+    # first entry holds the better of its two ends instead. A difference
+    # that overflows to inf still rounds monotonically
+    best = np.empty(len(xs))
+    with np.errstate(over="ignore"):
+        best[starts] = np.maximum(xs[starts] - c[0], c[-1] - xs[ends])
+        best[gap] = np.minimum(near - lo, hi - near).max(axis=0)
     # the distance grows with the gap, so the largest least gap gives the radius
     return distance_1d(np.maximum.reduceat(best, starts), 0.0)

@@ -107,3 +107,10 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(InvalidDataError):
         read_csv(path)
+
+
+def test_csv_rejects_non_numeric_field(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,y\n0.1,1\nabc,2\n")
+    with pytest.raises(InvalidDataError, match=r"bad\.csv:3: .*'abc'"):
+        read_csv(path)

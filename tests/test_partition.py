@@ -151,15 +151,17 @@ def test_mesh_norm_matches_brute_force(d, scale):
         assert one_block_radius(blk, cand) == oracle_radius(blk.x, cand)
 
 
-def test_mesh_norm_1d_is_exact():
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1072])
+def test_mesh_norm_1d_is_exact(scale):
     # lattice blocks with duplicates, one-sample blocks, and candidates
     # beyond both ends of every block; a step of 1/10 is not a dyadic
     # fraction, so candidate - sample rounds and only the same arithmetic
-    # as the oracle gives the same bits
+    # as the oracle gives the same bits. At 2**-1072 the 31 candidates
+    # collapse into 13 distinct subnormals and halving a sample rounds
     rng = np.random.default_rng(10)
-    cand = (np.arange(-5, 26) / 10)[:, None]
+    cand = (np.arange(-5, 26) / 10 * scale)[:, None]
     for n in [1] * 10 + list(rng.integers(2, 16, size=190)):
-        x = rng.integers(0, 21, size=n)[:, None] / 10
+        x = rng.integers(0, 21, size=n)[:, None] / 10 * scale
         if n > 1:
             x[-1] = x[0]  # at least one duplicate input
         expected = oracles.mesh_norm([tuple(r) for r in x], [tuple(r) for r in cand])
@@ -170,8 +172,8 @@ def test_mesh_norm_1d_blocks_match_oracle():
     # one pass serves every block: one-sample blocks, duplicate inputs, m = N,
     # and unsorted candidates on a 1/20 lattice, each four times, beyond
     # both domain ends. The last two inputs are 3 ulps apart; their midpoint
-    # is a tie that rounds down to a candidate repeated past the window, so
-    # that gap is scored over every candidate
+    # is a tie that rounds down onto a run of 7 equal candidates, which are
+    # merged before the three around the midpoint are scored
     rng = np.random.default_rng(12)
     ulp = 2.0**-52
     x = np.append(rng.integers(0, 21, size=60) / 10, [1 + ulp, 1 + 4 * ulp])[:, None]
@@ -195,6 +197,10 @@ def test_mesh_norm_1d_blocks_match_oracle():
     expected = [oracle_radius(b.x, inside) for b in part.blocks]
     assert mesh_norm_report(part, inside).tolist() == expected
     assert expected[1] == ulp
+    # differences between far candidates and samples overflow to inf
+    big = np.array([[-1e308], [0.0], [1e308]])
+    part = PartitionedDataset.from_indices(Dataset(big, np.zeros(3)), [np.arange(3)])
+    assert mesh_norm_report(part, big).tolist() == [oracle_radius(big, big)] == [0.0]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160])
