@@ -34,11 +34,12 @@ At d=1 both estimates are the mean of a run [lo, hi) of the sorted block:
 and ``_run_means`` sums each distinct run once with ``np.add.reduceat``.
 
 * Naive NWK: the run is the window ``distance_1d(q, x) <= h``, its edges
-  placed by that test itself (``_lower_edge``), not by ``q - h`` and
-  ``q + h``, which can be off by many doubles. For finite positive ``d``
-  and ``h``, ``fl(d / h) <= 1`` holds exactly when ``d <= h``, so the naive
-  kernel weight is nonzero exactly when the A3 activity test holds: on
-  this path a block is active exactly when it is not degenerate.
+  the first samples inside it, found by bisecting the sorted samples with
+  that test itself (``_naive_edges``), not from ``q - h`` and ``q + h``,
+  which can be off by many doubles. For finite positive ``d`` and ``h``,
+  ``fl(d / h) <= 1`` holds exactly when ``d <= h``, so the naive kernel
+  weight is nonzero exactly when the A3 activity test holds: on this path
+  a block is active exactly when it is not degenerate.
 * k-NN: lo counts the keys ``x[i] + x[i + k]`` exactly below ``2q``, as
   the run moves past sample i while ``x[i + k]`` is nearer q, and hi is
   lo + k. The key can overflow and ``distance_1d`` rounds, so it only
@@ -135,6 +136,8 @@ class AvmModel:
     tilde_h: float | None = None
 
     def __post_init__(self) -> None:
+        if self.config.d != self.partition.data.d:
+            raise ValueError(f"config d={self.config.d} != data d={self.partition.data.d}")
         for name in ("h_or_k", "tilde_h"):
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:
@@ -242,62 +245,33 @@ def knn_mean(dist: np.ndarray, y: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     return np.stack([sums[:, k - 1] / k for k in ks])
 
 
-# the doubles ordered as int64: sign-magnitude bits, negative half negated
-_MAGNITUDE = np.int64(2**63 - 1)
-_SIGN = np.int64(-(2**63))
-_ORDINAL_INF = np.int64(0x7FF0000000000000)
+def _naive_edges(xs: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Naive window edges ``(lower, upper)`` at sorted ``q`` among the sorted samples ``xs``.
 
+    ``lower`` is the first sample that passes ``x >= q or distance_1d(q, x) <= h``
+    (inf where none does), and ``upper``, as rounding is symmetric, the same
+    search at ``-q`` over ``-xs[::-1]``, negated: one bisection over 2t lanes,
+    in ceil(log2(N + 1)) steps. The edges are exact:
 
-def _ordinal(x: np.ndarray) -> np.ndarray:
-    """Doubles as int64 in the same order (-0.0 and 0.0 both map to 0)."""
-    bits = x.view(np.int64)
-    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
-
-
-def _double(i: np.ndarray) -> np.ndarray:
-    """Inverse of ``_ordinal``."""
-    return np.where(i < 0, -i | _SIGN, i).view(np.float64)
-
-
-def _bisect(lo: np.ndarray, hi: np.ndarray, inside) -> np.ndarray:
-    """Least ordinal in (lo, hi] whose double is ``inside``, for monotone ``inside``."""
-    while True:
-        # floor((lo + hi) / 2) without int64 overflow; above lo while hi - lo > 1
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        gap = mid > lo
-        if not gap.any():
-            return hi
-        admit = inside(_double(mid))
-        hi = np.where(gap & admit, mid, hi)
-        lo = np.where(gap & ~admit, mid, lo)
-
-
-def _lower_edge(q: np.ndarray, h: float) -> np.ndarray:
-    """Smallest double ``x`` with ``x >= q`` or ``distance_1d(q, x) <= h``, per ``q``.
-
-    Below ``q`` the distance falls as ``x`` grows, so the samples left of
-    ``q`` within ``h`` are exactly those at or above this edge. ``q - h``
-    alone can miss it by many doubles, because ``q - x`` rounds when ``x``
-    is far from ``q`` and its square rounds or overflows outside the
-    normal range, and a run of duplicate samples can sit in that gap. The
-    edge is bisected over the doubles, ordered as integers, inside a
-    bracket around ``q - h``; where the bracket does not hold the edge, it
-    is widened to the infinities. ``distance_1d`` rounds monotonically, so
-    each step tests ``fl(q - x) <= g`` for the largest ``g`` within ``h``
-    of 0, which is ``h`` while ``h * h`` is normal.
+    * ``distance_1d`` rounds monotonically, so the samples that fail the test
+      are a prefix of ``xs``, and those below the first passing sample are
+      exactly the failing ones: ``_counts`` gets the lo and hi of the exact edge;
+    * a sample that passes at ``q`` passes at every smaller ``q``, so the edges
+      are nondecreasing in ``q``, as the pooled ``_counts`` requires;
+    * the test is the dense path's, so subnormal or overflowing squares need
+      no special case.
     """
-    g, d = h, distance_1d(np.array([h, np.nextafter(h, np.inf)]), 0.0)
-    if not d[0] <= h < d[1]:
-        ends = np.array([0, _ORDINAL_INF])  # 0 is within h of 0, inf is not
-        g = _double(_bisect(*ends[:, None], lambda x: distance_1d(x, 0.0) > h) - 1)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # several times the rounding of q - h and of q - x near the edge
-        delta = 2.0**-48 * (np.abs(q) + h)
-        lo = _ordinal(q - h - delta)  # below the edge ...
-        hi = _ordinal(q - h + delta)  # ... and at or above it
-        lo[q - _double(lo) <= g] = -_ORDINAL_INF
-        hi[~(q - _double(hi) <= g)] = _ORDINAL_INF
-        return _double(_bisect(lo, hi, lambda x: q - x <= g))
+    n, t = len(xs), len(q)
+    # the two searches over one array, each half closed by inf, which passes
+    values = np.concatenate([xs, [np.inf], -xs[::-1], [np.inf]])
+    lanes = np.concatenate([q, -q])
+    pos = np.repeat([0, n + 1], t)  # each lane's start plus its samples known to fail
+    last = pos + n  # each lane's closing inf
+    for s in 2 ** np.arange(n.bit_length())[::-1]:
+        x = values[np.minimum(pos + (s - 1), last)]
+        pos += s * ~((x >= lanes) | (distance_1d(lanes, x) <= h))
+    edges = values[pos]
+    return edges[:t], -edges[t:]
 
 
 # (block, query) pairs per block group of ``_sorted_1d``, and distances per
@@ -322,11 +296,12 @@ def _sorted_1d(
     estimates = np.empty((len(params), m, t))
     flags = np.zeros(estimates.shape, dtype=bool)
     step = max(1, _CHUNK_PAIRS // max(1, t))
+    if naive:
+        xs = np.sort(x)
     for p, h_or_k in enumerate(params):
         if naive:
-            # rounding is symmetric: the upper edge at q is the lower edge at -q, negated
-            bounds = _lower_edge(np.concatenate([qs, -qs]), h_or_k)
-            lower, upper = bounds[:t], -bounds[t:]
+            # the edges are samples: lo counts those below lower, hi those at or below upper
+            lower, upper = _naive_edges(xs, qs, h_or_k)
         else:
             # key[i] = x[i] + x[i + k], one double down where it rounded up
             # (TwoSum's error is negative), so ``key < 2q`` is exact; inf where

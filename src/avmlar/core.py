@@ -99,6 +99,8 @@ class Dataset:
                 raise ValueError(
                     f"domain_bounds must have shape ({xs.shape[1]}, 2), got {bounds.shape}"
                 )
+            if not np.all(np.isfinite(bounds)):
+                raise ValueError("domain_bounds must be finite")
             if np.any(bounds[:, 0] > bounds[:, 1]):
                 raise ValueError("domain_bounds lower ends must not exceed upper ends")
             if validate_bounds:

@@ -36,8 +36,8 @@ def nwk_weights(
     block: Dataset, kind: KernelKind, h: float, x: np.ndarray
 ) -> WeightVector:
     """NWK weights of every block sample at the query point ``x``."""
-    if h <= 0:
-        raise ValueError(f"bandwidth h must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"bandwidth h must be positive and finite, got {h}")
     q = _query_matrix(np.reshape(x, (1, -1)), block.d)
     raw = kernel_profile(kind, cdist(q, block.x)[0] / h)
     total = raw.sum()

@@ -63,6 +63,8 @@ def cv_score_grid(
     dataset: Dataset, config: EstimatorConfig, cv: CvConfig
 ) -> np.ndarray:
     """Mean cross-validation MSE of every candidate constant, in grid order."""
+    if config.d != dataset.d:
+        raise ValueError(f"config d={config.d} != data d={dataset.d}")
     if dataset.n < cv.folds:
         raise ValueError(f"need at least {cv.folds} samples, got {dataset.n}")
     folds = random_partition(dataset, cv.folds, cv.seed)

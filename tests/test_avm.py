@@ -412,6 +412,13 @@ def test_model_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             predict_batch(model, [[0.5], [bad]])  # non-finite query
+    # a d=1 estimator must not fit d=5 data on its first coordinate alone
+    ds5 = uniform_dataset(10, d=5, seed=12)
+    for cfg in (NWK, knn_cfg):
+        with pytest.raises(ValueError, match="d=1"):
+            fit_avm(ds5, cfg, 2, 0)
+    with pytest.raises(ValueError, match="d=2"):
+        AvmModel(part, GAUSSIAN_D2, Variant.A1_PLAIN, 0.5)
 
 
 @pytest.mark.parametrize("cfg", [NWK, GAUSSIAN_D2], ids=["d1", "d2"])
@@ -451,6 +458,37 @@ def test_naive_window_edge_holds_duplicate_run():
             batch = predict_batch(model, queries)
             blocks = oracle_blocks(model)
             assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
+
+
+@pytest.mark.parametrize("scale, h", [(1e-160, 3e-161), (1.0, 0.3), (1e160, 1e154)])
+def test_naive_edges_match_oracle_at_every_double_near_both_edges(scale, h):
+    # two copies of each of the three doubles below and above q - h and q + h,
+    # and of those ends themselves. At 1e-160 the squared gaps are subnormal
+    # and round, at 1e160 they are near the overflow, and at |q| << h, q - x
+    # rounds: the window's ends are then not q - h and q + h
+    rng = np.random.default_rng(15)
+    queries = np.array([0.5 * scale, -0.25 * scale, 1e-6 * h, -1e-6 * h, 0.0])
+    x = []
+    for q in queries:
+        for end in (q - h, q + h):
+            below = above = end
+            x += [end] * 2
+            for _ in range(3):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                x += [below, above] * 2
+    ds = Dataset(np.array(x)[:, None], rng.integers(-1000, 1000, len(x)) / 100.0)
+    tol, family = 1e-12 * np.abs(ds.y).max(), EstimatorFamily.NWK_NAIVE
+    for m in (1, 3):
+        part = random_partition(ds, m, 2)
+        estimates, active, degenerate = block_estimates(part, family, [h], queries[:, None])
+        with np.errstate(over="ignore"):  # the oracle squares past the range
+            for j, b in enumerate(part.blocks):
+                xs, ys = [tuple(r) for r in b.x], list(b.y)
+                expected = [oracles.nwk_estimate(xs, ys, "naive", h, [q]) for q in queries]
+                flags = np.array([oracle_flags([(xs, ys)], "naive", h, [q]) for q in queries])
+                np.testing.assert_allclose(estimates[0, j], expected, rtol=0, atol=tol)
+                np.testing.assert_array_equal(active[0, j], flags[:, 0])
+                np.testing.assert_array_equal(degenerate[0, j], flags[:, 1])
 
 
 KNN = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)

@@ -60,6 +60,9 @@ def test_dataset_rejects_bad_inputs():
         Dataset(np.array([[1.0]]), [np.inf])
     with pytest.raises(ValueError):
         Dataset(np.array([[2.0]]), [1.0], domain_bounds=np.array([[0.0, 1.0]]))
+    for bounds in ([[np.nan, 1.0]], [[0.0, np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([[0.5]]), [1.0], domain_bounds=bounds)
 
 
 def test_dataset_bounds_advisory_for_ingested():

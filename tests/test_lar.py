@@ -91,8 +91,9 @@ def test_knn_tie_resolved_to_lower_index():
 
 def test_errors_on_bad_arguments():
     blk = block_1d([0.0, 1.0])
-    with pytest.raises(ValueError):
-        nwk_weights(blk, KernelKind.NAIVE, -0.1, [0.0])
+    for h in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            nwk_weights(blk, KernelKind.NAIVE, h, [0.0])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             nwk_weights(blk, KernelKind.GAUSSIAN, 0.5, [bad])

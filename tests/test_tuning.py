@@ -76,6 +76,10 @@ def test_rejects_bad_configs():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             CvConfig((0.5, bad), folds=5, seed=0)
+    # a d=5 rule exponent must not score d=1 data
+    d5 = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=5)
+    with pytest.raises(ValueError, match="d=5"):
+        cv_score_grid(ds, d5, CvConfig((0.5,), folds=2))
 
 
 def _exhaustive_fold_scores(ds, config, cv):
