@@ -107,12 +107,14 @@ def data_dependent_bandwidth(radii: np.ndarray, r: float, d: int) -> float:
 
     Returns ``max(m^(-1/(2r+d)) * H^(d/(2r+d)), H)`` with ``H`` the largest
     block covering radius, so the result dominates every block's radius.
-    Raises when all radii are zero (the rule degenerates to a zero
-    bandwidth).
+    Raises when a radius is not finite or all radii are zero (the rule
+    degenerates to a zero bandwidth).
     """
     m = len(radii)
     if m < 1 or r <= 0 or d < 1:
         raise ValueError("data_dependent_bandwidth arguments must be positive")
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("block covering radii must be finite")
     h_max = float(np.max(radii))
     if h_max <= 0.0:
         raise ValueError("all block covering radii are zero; no usable bandwidth")

@@ -40,9 +40,11 @@ class EstimatorConfig:
     constant_c: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, EstimatorFamily):
+            raise ValueError(f"family must be an EstimatorFamily, got {self.family!r}")
         if not 0 < self.r < np.inf:
             raise ValueError(f"smoothness r must be positive and finite, got {self.r}")
-        if self.d < 1:
+        if not 1 <= self.d < np.inf or self.d != int(self.d):
             raise ValueError(f"dimension d must be a positive integer, got {self.d}")
         if not 0 < self.constant_c < np.inf:
             raise ValueError(

@@ -5,8 +5,8 @@ any domain point to its nearest block sample. The continuous supremum is
 approximated on a finite candidate set; ``default_candidates`` supplies
 the standard choice and callers may override it.
 
-``mesh_norm_report`` takes every block at d=1 in one pass over the gaps
-between sorted samples, scoring the three distinct candidates around each
+``mesh_norm_report`` takes every block at d=1 in one pass over its gaps,
+to -inf and +inf at the ends, scoring the two candidates that bracket each
 gap's midpoint, with no loop over blocks. At d>1 it takes a small block
 by directed Hausdorff (Taha & Hanbury 2015), which stops scanning a
 candidate at the first sample nearer than the largest distance found so
@@ -127,24 +127,26 @@ def mesh_norm_report(
 
     Each radius is the ``max`` over candidates of the Euclidean distance to
     the nearest block sample; this lower-bounds the continuous covering
-    radius. Candidates must be finite.
+    radius. Candidates are finite, shape (k, d); a 1-d array is one point.
 
-    At d=1 the blocks are taken in one pass over the gaps between
-    neighbours in ``x_order``. A candidate ``c`` scores ``min(c - lo,
-    hi - c)`` in the gap ``(lo, hi]``; candidates below the first sample or
-    above the last score their distance to it, so the block ends take the
-    extreme candidates. Rounding is monotone, so ``min(fl(c - lo), fl(hi -
-    c)) = fl(min(c - lo, hi - c))``, through overflow to inf as well: the
-    float score is nondecreasing in the exact one, ``(hi - lo)/2 - |c -
-    mid|``, and the candidate nearest the exact midpoint is best. Each half
-    of ``lo*0.5 + hi*0.5`` is exact outside the subnormal range and the sum
-    rounds once (inside it the halves round on one fixed step and the sum
-    is exact), so no double lies strictly between it and the exact
-    midpoint. Among distinct sorted candidates the nearest on each side of
-    the midpoint is therefore at ``place - 1``, ``place`` or ``place + 1``,
-    ``place`` being the insertion point of ``lo*0.5 + hi*0.5``; repeated
-    candidates would break this, so they are merged first. The radius is
-    measured with ``distance_1d``, as ``cdist`` measures it.
+    At d=1 a block of n samples, sorted by ``x_order``, has n + 1 gaps
+    ``(lo, hi)``, the first from -inf and the last to +inf. A candidate
+    ``c`` scores ``min(c - lo, hi - c)`` in a gap; its largest score is its
+    distance to the block. Rounding is monotone, so the float score, also
+    where it overflows to inf, is nondecreasing in the exact one, ``(hi -
+    lo)/2 - |c - mid|``, and the candidate nearest the exact midpoint is
+    best. Each gap scores the sorted candidates at ``place - 1`` and
+    ``place``, the insertion point of ``lo*0.5 + hi*0.5``. Where that sum
+    is a double nearest the exact midpoint, a candidate nearer it than both
+    would make one of them, or itself, a nearer double, so the two hold the
+    best score, repeated candidates too; an end gap's two are the extreme
+    candidate. A half is exact from 2**-1021 up; a smaller one rounds by at
+    most 2**-1075, to at most 2**-1022, under half the step beside the
+    other half if that end is at least 2**-966 in magnitude. So the sum,
+    rounded once, is a nearest double unless both ends are below 2**-966.
+    There it is within one double of ``[lo, hi]``: if such a gap holds a
+    block's largest score, it and the score found lie within 2**-966 of 0,
+    and ``distance_1d``, which measures as ``cdist`` does, squares both to 0.
 
     At d>1 a block of at most ``_HAUSDORFF_SAMPLES_PER_DIM * d`` samples
     is taken by ``directed_hausdorff``, which breaks off a candidate as
@@ -158,8 +160,8 @@ def mesh_norm_report(
         raise ValueError("candidate set must be nonempty")
     x = partition.data.x
     d = x.shape[1]
-    if cand.shape[1] != d:
-        raise ValueError(f"candidates have dimension {cand.shape[1]}, not {d}")
+    if cand.ndim > 2 or cand.shape[1] != d:
+        raise ValueError(f"candidates must have shape (k, {d}), got {cand.shape}")
     if not np.all(np.isfinite(cand)):
         raise ValueError("candidates must be finite")
     if d > 1:
@@ -170,21 +172,14 @@ def mesh_norm_report(
             else:
                 radii[j] = np.max(cKDTree(x[a:b]).query(cand)[0])
         return radii
-    c = np.unique(cand[:, 0])
+    c = np.sort(cand[:, 0])
     xs = x[partition.x_order, 0]
-    starts, ends = partition.offsets[:-1], partition.offsets[1:] - 1
-    inner = np.ones(len(xs), dtype=bool)
-    inner[starts] = False
-    gap = np.flatnonzero(inner)
-    lo, hi = xs[gap - 1], xs[gap]
+    starts = partition.offsets[:-1]
+    # no gap holds both infinities; an overflow to inf still rounds monotonically
+    lo = np.insert(xs, starts, -np.inf)
+    hi = np.insert(xs, partition.offsets[1:], np.inf)
     place = np.searchsorted(c, lo * 0.5 + hi * 0.5)
-    near = c[np.clip(place + np.arange(-1, 2)[:, None], 0, len(c) - 1)]
-    # best[i] is the best score in the gap (xs[i-1], xs[i]); a block's
-    # first entry holds the better of its two ends instead. A difference
-    # that overflows to inf still rounds monotonically
-    best = np.empty(len(xs))
+    near = c[np.clip(place + np.arange(-1, 1)[:, None], 0, len(c) - 1)]
     with np.errstate(over="ignore"):
-        best[starts] = np.maximum(xs[starts] - c[0], c[-1] - xs[ends])
-        best[gap] = np.minimum(near - lo, hi - near).max(axis=0)
-    # the distance grows with the gap, so the largest least gap gives the radius
-    return distance_1d(np.maximum.reduceat(best, starts), 0.0)
+        best = np.minimum(near - lo, hi - near).max(axis=0)
+    return distance_1d(np.maximum.reduceat(best, starts + np.arange(partition.m)), 0.0)

@@ -36,8 +36,8 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if not 2 <= self.folds < np.inf or self.folds != int(self.folds):
+            raise ValueError(f"folds must be an integer >= 2, got {self.folds}")
         grid = tuple(float(c) for c in self.grid)
         if not grid:
             raise ValueError("candidate grid must be nonempty")

@@ -113,6 +113,9 @@ def test_data_dependent_bandwidth_all_zero_errors():
         data_dependent_bandwidth(np.zeros(2), 1, 1)
     with pytest.raises(ValueError):
         data_dependent_bandwidth(np.zeros(0), 1, 1)  # no blocks
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            data_dependent_bandwidth(np.array([bad, 1.0]), 1, 1)
 
 
 # --- variant predictions ------------------------------------------------

@@ -91,6 +91,12 @@ def test_estimator_config_validation():
             EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=bad, d=1)
         with pytest.raises(ValueError):
             EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1, constant_c=bad)
+    # a family name instead of the enum, and a fractional or non-finite d
+    with pytest.raises(ValueError, match="family"):
+        EstimatorConfig("knn", r=1.0, d=1)
+    for bad in (1.5, 0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dimension"):
+            EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=bad)
 
 
 def test_csv_round_trip(tmp_path):

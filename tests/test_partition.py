@@ -172,8 +172,8 @@ def test_mesh_norm_1d_blocks_match_oracle():
     # one pass serves every block: one-sample blocks, duplicate inputs, m = N,
     # and unsorted candidates on a 1/20 lattice, each four times, beyond
     # both domain ends. The last two inputs are 3 ulps apart; their midpoint
-    # is a tie that rounds down onto a run of 7 equal candidates, which are
-    # merged before the three around the midpoint are scored
+    # is a tie that rounds down onto a run of 7 equal candidates; the first
+    # of the run and the candidate below it bracket it and are scored
     rng = np.random.default_rng(12)
     ulp = 2.0**-52
     x = np.append(rng.integers(0, 21, size=60) / 10, [1 + ulp, 1 + 4 * ulp])[:, None]
@@ -201,6 +201,15 @@ def test_mesh_norm_1d_blocks_match_oracle():
     big = np.array([[-1e308], [0.0], [1e308]])
     part = PartitionedDataset.from_indices(Dataset(big, np.zeros(3)), [np.arange(3)])
     assert mesh_norm_report(part, big).tolist() == [oracle_radius(big, big)] == [0.0]
+
+
+def test_mesh_norm_1d_end_gaps_overflow_to_inf():
+    # each block's one sample is more than the largest double from the
+    # candidate beyond its end, first above it, then below it
+    x = np.array([[-1e308], [1e308]])
+    part = PartitionedDataset.from_indices(Dataset(x, np.zeros(2)), [[0], [1]])
+    expected = [oracle_radius(b.x, x) for b in part.blocks]
+    assert mesh_norm_report(part, x).tolist() == expected == [np.inf, np.inf]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160])
@@ -291,6 +300,10 @@ def test_mesh_norm_rejects_bad_inputs():
         one_block_radius(blk, np.empty((0, 1)))
     with pytest.raises(ValueError):
         one_block_radius(blk, np.array([[0.1, 0.2]]))
+    with pytest.raises(ValueError, match="shape"):
+        one_block_radius(blk, np.zeros((2, 1, 1)))
+    # a 1-d array is one point
+    assert one_block_radius(blk, np.array([0.1])) == pytest.approx(0.4)
 
 
 def test_default_candidates_1d_grid():

@@ -73,6 +73,8 @@ def test_rejects_bad_configs():
         CvConfig((0.5, 0.4), folds=5, seed=0)
     with pytest.raises(ValueError):
         CvConfig((0.5,), folds=1, seed=0)
+    with pytest.raises(ValueError, match="folds"):
+        CvConfig((0.5,), folds=2.5, seed=0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             CvConfig((0.5, bad), folds=5, seed=0)
