@@ -13,21 +13,31 @@ For the k-NN family the localization radius adapts per block, so every
 block is always active and all three variants coincide with A1.
 
 Every prediction path and CV score runs through the core below:
-``_sorted_1d`` (NWK-naive and k-NN at d=1), ``knn_mean`` (the one k-NN
-selector and tie rule, over a grid of k, called by ``_knn_dense`` alone),
-``block_estimates`` (which also holds the dense NWK path), ``combine``, and
-``_rule_h_or_k`` for h and k.
+``_sorted_1d`` (NWK-naive and k-NN at d=1), ``_naive_tree`` (NWK-naive
+at d>1 on small balls), ``knn_mean`` (the one k-NN selector and tie rule,
+over a grid of k, called by ``_knn_dense`` alone), ``block_estimates``
+(which also holds the dense NWK path), ``combine``, and ``_rule_h_or_k``
+for h and k.
 
 ``block_estimates`` takes a grid of h or k and returns (P, m, q) arrays,
 one row per parameter, reading the partition once for the grid. It picks
 its path by family and input dimension. At d=1 the naive kernel and k-NN
 take ``_sorted_1d`` over the partition's ``x_order`` (each block sorted
-once per partition) and build no query x sample matrix. Every other case
-(Gaussian, d>1) is dense, in query chunks of about ``_CHUNK_PAIRS``
-distances: NWK takes one ``cdist`` per chunk over the block-major samples
-and sums each block's columns with ``np.add.reduceat``; k-NN takes one
-``cdist`` per block and chunk for ``knn_mean``. Every path measures the
-distance ``cdist`` computes; at d=1 that is ``distance_1d``.
+once per partition) and build no query x sample matrix. At d>1 a naive h
+whose ball is small takes ``_naive_tree`` over the partition's ``kdtree``
+(built once per partition): ``_ball_share``, the share of the samples a
+ball would hold were they uniform over their bounding box, is below
+``_TREE_BALL_SHARE`` (2 %). That rule reads only the partition and h, so
+no query's value depends on the others in its batch. Every other case
+(Gaussian, k-NN and wide naive balls at d>1, Gaussian at d=1) is dense, in
+query chunks of about ``_CHUNK_PAIRS`` distances: NWK takes one ``cdist``
+per chunk over the block-major samples and sums each block's columns with
+``np.add.reduceat``; k-NN takes one ``cdist`` per block and chunk for
+``knn_mean``. Every path measures the distance ``cdist`` computes; at d=1
+that is ``distance_1d``, and on the tree a sequential sum of squared gaps.
+The tree path sums each (query, block) pair's samples within h alone, the
+dense one each block's row of kernel weights, zeros included, so the two
+may differ in the last bit, never in which samples they count.
 
 At d=1 both estimates are the mean of a run [lo, hi) of the sorted block:
 ``_counts`` places lo and hi by counting samples or keys below a threshold,
@@ -51,6 +61,8 @@ and ``_run_means`` sums each distinct run once with ``np.add.reduceat``.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -84,10 +96,19 @@ class KnnRule(NamedTuple):
     clamped: bool
 
 
+def _check_rule_args(rule: str, counts: Sequence[float], reals: Sequence[float]) -> None:
+    """Raise unless every count is a positive whole number and every real is
+    positive and finite."""
+    if not (
+        all(1 <= n < np.inf and n == int(n) for n in counts)
+        and all(0 < v < np.inf for v in reals)
+    ):
+        raise ValueError(f"{rule} takes whole counts >= 1 and finite positive r and c")
+
+
 def nwk_bandwidth_rule(N: int, r: float, d: int, c: float) -> float:
     """Bandwidth ``c * N^(-1/(2r+d))``."""
-    if N < 1 or r <= 0 or d < 1 or c <= 0:
-        raise ValueError("nwk_bandwidth_rule arguments must be positive")
+    _check_rule_args("nwk_bandwidth_rule", (N, d), (r, c))
     return c * float(N) ** (-1.0 / (2.0 * r + d))
 
 
@@ -96,9 +117,11 @@ def knn_k_rule(N: int, m: int, r: float, d: int, c: float) -> KnnRule:
 
     The ``clamped`` flag records whether the floor was hit.
     """
-    if N < 1 or m < 1 or r <= 0 or d < 1 or c <= 0:
-        raise ValueError("knn_k_rule arguments must be positive")
-    k = int(round(c * float(N) ** (2.0 * r / (2.0 * r + d)) / m))
+    _check_rule_args("knn_k_rule", (N, m, d), (r, c))
+    k = c * float(N) ** (2.0 * r / (2.0 * r + d)) / m
+    if k == np.inf:
+        raise ValueError(f"knn_k_rule overflows at c={c}")
+    k = int(round(k))
     return KnnRule(max(k, 1), k < 1)
 
 
@@ -281,6 +304,20 @@ def _naive_edges(xs: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, n
 # k grow, and a dense chunk stays cache-sized
 _CHUNK_PAIRS = 2**16
 
+# a naive h at d>1 takes the k-d tree while ``_ball_share`` is below this
+# share, and a wider ball the dense loop. On uniform d=5 data (N=10,000; 50
+# queries at m = 8 and 1024, 1,000 at m = 5 and 350; one core of a 2-core
+# VM) the tree took 2.4-43 ms against 6.1-106 ms for the dense loop at a
+# share of 0.7 %, 4.0-86 against 4.6-129 ms at 2.8 %, and 5.8-125 against
+# 4.7-123 ms at 5.4 %: ball queries grow with the ball, the dense loop does not
+_TREE_BALL_SHARE = 0.02
+# ball queries take radius h * (1 + _TREE_SLACK), as the tree sums squared
+# gaps in its own order; the sum in ``cdist``'s order then decides membership
+_TREE_SLACK = 1e-9
+# ``cKDTree`` raises once a squared distance it takes overflows; with h and
+# every side of the samples' box below this span, none within h of the box can
+_TREE_MAX_SPAN = 1e150
+
 
 def _sorted_1d(
     partition: PartitionedDataset, family: EstimatorFamily, params: Sequence[float], q: np.ndarray
@@ -397,6 +434,81 @@ def _knn_dense(
             estimates[:, j, r] = np.where(todo[:, j, r], means, estimates[:, j, r])
 
 
+def _ball_share(sides: np.ndarray, h: float) -> float:
+    """Expected share of the samples within ``h`` of a query, at most 1.
+
+    Samples spread uniformly over a box with ``sides`` put ``V_k h^k`` over
+    the product of the k nonzero sides in a ball, ``V_k`` the volume of the
+    unit k-ball: a box flat in some coordinates meets a ball centred in it
+    in a k-ball. Taken in logs, so that no power or product overflows. It
+    is inf where ``cKDTree`` could overflow.
+    """
+    if not (h < _TREE_MAX_SPAN and sides.max() < _TREE_MAX_SPAN):
+        return np.inf
+    sides = sides[sides > 0]
+    k = len(sides)
+    log_share = k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1) + k * math.log(h)
+    return math.exp(min(log_share - float(np.log(sides).sum()), 0.0))
+
+
+def _norms(gaps) -> np.ndarray:
+    """Root of the squared ``gaps`` summed in order, as ``cdist`` sums coordinates."""
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for gap in gaps:
+            total = total + gap * gap
+    return np.sqrt(total)
+
+
+def _naive_tree(
+    partition: PartitionedDataset, params: Sequence[float], Q: np.ndarray, expected: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Naive NWK means and degenerate flags at d>1, shape (len(params), m, q),
+    from k-d tree ball candidates.
+
+    A query's candidates are the samples within ``max(params)``, widened by
+    ``_TREE_SLACK``, listed in sample order; a candidate is within h when
+    its distance, summed as ``cdist`` sums it, is at most h, so the balls
+    are the dense path's. Each (query, block) pair's samples within h are
+    then one run of the candidates, which ``_run_means`` sums in sample
+    order. No sample is within h of a query farther than h from the
+    samples' box, as each distance is at least the box's, rounded alike:
+    such a query takes no ball. Chunks of queries hold about
+    ``_CHUNK_PAIRS`` candidates, the first sized from ``expected``
+    candidates per query and each later one from those seen so far,
+    growing at most twofold.
+    """
+    x, y, offsets = partition.data.x, partition.data.y, partition.offsets
+    m, t, tree, top = partition.m, len(Q), partition.kdtree, max(params)
+    estimates = np.zeros((len(params), m, t))
+    degenerate = np.ones(estimates.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        box = np.maximum(np.maximum(tree.mins - Q, Q - tree.maxes), 0.0)
+    near = np.flatnonzero(_norms(box.T) <= top)
+    size, done, pairs = max(1, int(_CHUNK_PAIRS // max(expected, 1.0))), 0, 0
+    while done < len(near):
+        rows = near[done : done + size]
+        found = tree.query_ball_point(Q[rows], top * (1 + _TREE_SLACK), return_sorted=True)
+        counts = np.fromiter(map(len, found), np.intp, len(rows))
+        idx = np.fromiter(itertools.chain.from_iterable(found), np.intp, counts.sum())
+        del found
+        row = np.repeat(rows, counts)
+        dist = _norms(Q[row, c] - x[idx, c] for c in range(x.shape[1]))
+        # (query, block) keys never fall: rows ascend, and each query's
+        # candidates ascend through the block-major samples
+        key = row * m + np.searchsorted(offsets, idx, "right") - 1
+        for p, h in enumerate(params):
+            inside = dist <= h
+            k = key[inside]
+            lo = np.flatnonzero(np.diff(k, prepend=-1))
+            q, block = np.divmod(k[lo], m)
+            estimates[p, block, q] = _run_means(y[idx[inside]], lo, np.append(lo[1:], len(k)))
+            degenerate[p, block, q] = False
+        done, pairs = done + len(rows), pairs + len(idx)
+        size = max(1, min(2 * len(rows), _CHUNK_PAIRS * done // max(pairs, 1)))
+    return estimates, degenerate
+
+
 def block_estimates(
     partition: PartitionedDataset,
     family: EstimatorFamily,
@@ -413,7 +525,9 @@ def block_estimates(
 
     At d=1 the naive kernel and k-NN take ``_sorted_1d``, which sorts the
     queries once for the grid, and k-NN's undecided pairs go to
-    ``_knn_dense``, as every k-NN pair does at d>1. Dense NWK takes one
+    ``_knn_dense``, as every k-NN pair does at d>1. At d>1 each naive h
+    with ``_ball_share`` below ``_TREE_BALL_SHARE`` takes ``_naive_tree``,
+    one ball query per chunk for all of them. The other NWK h take one
     ``cdist`` matrix per chunk of query rows, against all the samples, for
     the whole grid. Every block and row is reduced alone, so no result
     depends on the chunk size or on the other queries in the batch.
@@ -436,15 +550,30 @@ def block_estimates(
     estimates = np.zeros(shape)
     x, y, offsets = partition.data.x, partition.data.y, partition.offsets
     kind, starts = _FAMILY_KERNEL[family], offsets[:-1]
+    dense = list(enumerate(params))
+    if kind is KernelKind.NAIVE:
+        # small balls from the k-d tree, wide ones from the dense loop below
+        tree = partition.kdtree
+        with np.errstate(over="ignore"):
+            sides = tree.maxes - tree.mins
+        shares = [_ball_share(sides, h) for h in params]
+        small = [p for p, share in enumerate(shares) if share < _TREE_BALL_SHARE]
+        if small:
+            expected = max(shares[p] for p in small) * len(x)
+            hs = [params[p] for p in small]
+            estimates[small], degenerate[small] = _naive_tree(partition, hs, Q, expected)
+            active[small] = ~degenerate[small]
+            dense = [(p, h) for p, h in dense if p not in small]
     size = max(1, _CHUNK_PAIRS // len(x))
-    for r in range(0, Q.shape[0], size):
+    for r in range(0, Q.shape[0] if dense else 0, size):
         # one block-major matrix per chunk; each block's columns reduce alone
         rows = slice(r, r + size)
         dist = cdist(Q[rows], x)
         if kind is KernelKind.GAUSSIAN:
             nearest = np.minimum.reduceat(dist, starts, axis=1).T
-        for p, h in enumerate(params):
-            raw = kernel_profile(kind, dist / h)
+        for p, h in dense:
+            with np.errstate(over="ignore"):  # a subnormal h
+                raw = kernel_profile(kind, dist / h)
             den = np.add.reduceat(raw, starts, axis=1).T
             raw *= y
             ok = den > 0.0

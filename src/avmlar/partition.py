@@ -31,6 +31,11 @@ from .core import Dataset, distance_1d
 # and 3,000 for d=3 (10,000); at d=5 the tree wins only from about 8,000
 # and at d=8 not yet at 16,000, so the rule is conservative there
 _HAUSDORFF_SAMPLES_PER_DIM = 1000
+# samples per leaf of ``PartitionedDataset.kdtree``. On uniform data at N=10,000
+# and 1,000 queries, ball queries of about 50 samples took 20 ms at d=5 with
+# leaves of 128 against 28 ms with scipy's default 16, 34 against 68 ms at
+# d=8, and about the same at d=2 and d=3, also at N=200,000
+_TREE_LEAF_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,16 @@ class PartitionedDataset:
         """
         block = np.repeat(np.arange(self.m), np.diff(self.offsets))
         return np.lexsort((self.data.x[:, 0], block))
+
+    @functools.cached_property
+    def kdtree(self) -> cKDTree:
+        """k-d tree (Bentley 1975) over ``data.x``, built on first use.
+
+        Its indices are rows of ``data``, block-major, so row ``i`` lies in
+        block ``searchsorted(offsets, i, "right") - 1``. Leaves hold up to
+        ``_TREE_LEAF_SIZE`` samples.
+        """
+        return cKDTree(self.data.x, leafsize=_TREE_LEAF_SIZE)
 
     @functools.cached_property
     def blocks(self) -> tuple[Dataset, ...]:

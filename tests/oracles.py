@@ -11,10 +11,13 @@ import math
 
 
 def euclid(a, b) -> float:
-    """Euclidean distance, each gap squared as a product, as ``cdist`` does."""
+    """Euclidean distance, each gap squared as a product, as ``cdist`` does.
+
+    In Python floats, which overflow to inf with no warning.
+    """
     total = 0.0
     for ai, bi in zip(a, b):
-        d = ai - bi
+        d = float(ai) - float(bi)
         total += d * d
     return math.sqrt(total)
 

@@ -1,10 +1,12 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import oracles
@@ -25,6 +27,7 @@ from avmlar import (
     random_partition,
 )
 from avmlar import avm
+from avmlar import partition as partition_module
 from avmlar.avm import block_estimates, knn_mean
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
@@ -85,6 +88,44 @@ def test_knn_rule_values():
     assert knn_k_rule(10_000, 10, 1, 1, 1.0) == (46, False)
     assert knn_k_rule(10_000, 10_000, 1, 1, 1.0) == (1, True)
     assert knn_k_rule(10_000, 1, 1, 1, 1.0) == (464, False)
+    # whole counts may be given as floats
+    assert knn_k_rule(10_000.0, 10.0, 1, 1.0, 1.0) == (46, False)
+    assert nwk_bandwidth_rule(100.0, 1, 2.0, 1) == nwk_bandwidth_rule(100, 1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "rule, args",
+    [
+        (nwk_bandwidth_rule, (100, 1, 1.5, 1)),
+        (nwk_bandwidth_rule, (100, 1, np.nan, 1)),
+        (nwk_bandwidth_rule, (100, 1, np.inf, 1)),
+        (nwk_bandwidth_rule, (2.5, 1, 1, 1)),
+        (nwk_bandwidth_rule, (np.nan, 1, 1, 1)),
+        (nwk_bandwidth_rule, (np.inf, 1, 1, 1)),
+        (nwk_bandwidth_rule, (100, np.nan, 1, 1)),
+        (nwk_bandwidth_rule, (100, np.inf, 1, 1)),
+        (nwk_bandwidth_rule, (100, 1, 1, np.nan)),
+        (nwk_bandwidth_rule, (100, 1, 1, np.inf)),
+        (nwk_bandwidth_rule, (100, 1, 0, 1)),
+        (knn_k_rule, (100, 2, 1, 1, np.inf)),
+        (knn_k_rule, (100, 2, 1, 1, np.nan)),
+        (knn_k_rule, (100, 2, 1, 1, 1e308)),  # k overflows
+        (knn_k_rule, (100, 2, np.inf, 1, 1)),
+        (knn_k_rule, (100, 2, np.nan, 1, 1)),
+        (knn_k_rule, (100, 2.5, 1, 1, 1)),
+        (knn_k_rule, (100, np.inf, 1, 1, 1)),
+        (knn_k_rule, (100, np.nan, 1, 1, 1)),
+        (knn_k_rule, (100.5, 2, 1, 1, 1)),
+        (knn_k_rule, (np.inf, 2, 1, 1, 1)),
+        (knn_k_rule, (100, 2, 1, 1.5, 1)),
+        (knn_k_rule, (100, 2, 1, np.nan, 1)),
+        (knn_k_rule, (100, 0, 1, 1, 1)),
+    ],
+)
+def test_rules_reject_bad_arguments(rule, args):
+    # counts must be whole numbers >= 1, r and c positive and finite
+    with pytest.raises(ValueError):
+        rule(*args)
 
 
 def test_data_dependent_bandwidth_values():
@@ -324,8 +365,9 @@ def test_empty_batch_predicts_nothing(d):
         (EstimatorFamily.NWK_GAUSSIAN, 1, [0.2, 0.05, 0.5, 0.2]),
         (EstimatorFamily.NWK_NAIVE, 2, [0.2, 0.05, 0.5, 0.2]),
         (EstimatorFamily.KNN, 2, [40, 3, 90, 40]),
+        (EstimatorFamily.NWK_NAIVE, 5, [0.3, 0.2, 0.5, 0.3]),
     ],
-    ids=["naive-d1", "knn-d1", "gaussian-d1", "naive-d2", "knn-d2"],
+    ids=["naive-d1", "knn-d1", "gaussian-d1", "naive-d2", "knn-d2", "naive-d5"],
 )
 def test_block_estimates_over_a_grid_matches_single_calls(monkeypatch, family, d, params):
     # params unsorted and with a repeat: row p is the one-parameter call at params[p]
@@ -337,6 +379,9 @@ def test_block_estimates_over_a_grid_matches_single_calls(monkeypatch, family, d
     else:
         x, queries = rng.random((1500, d)), rng.random((100, d))
     part = random_partition(Dataset(x, rng.normal(size=len(x))), 3, 4)
+    if d == 5:  # the grid spans the crossover: one call takes both naive paths
+        shares = [avm._ball_share(np.ptp(x, axis=0), h) for h in params]
+        assert min(shares) < avm._TREE_BALL_SHARE < max(shares)
     calls = []
     monkeypatch.setattr(avm, "knn_mean", lambda *a: calls.append(a) or knn_mean(*a))
     grid = block_estimates(part, family, params, queries)
@@ -484,14 +529,13 @@ def test_naive_edges_match_oracle_at_every_double_near_both_edges(scale, h):
     for m in (1, 3):
         part = random_partition(ds, m, 2)
         estimates, active, degenerate = block_estimates(part, family, [h], queries[:, None])
-        with np.errstate(over="ignore"):  # the oracle squares past the range
-            for j, b in enumerate(part.blocks):
-                xs, ys = [tuple(r) for r in b.x], list(b.y)
-                expected = [oracles.nwk_estimate(xs, ys, "naive", h, [q]) for q in queries]
-                flags = np.array([oracle_flags([(xs, ys)], "naive", h, [q]) for q in queries])
-                np.testing.assert_allclose(estimates[0, j], expected, rtol=0, atol=tol)
-                np.testing.assert_array_equal(active[0, j], flags[:, 0])
-                np.testing.assert_array_equal(degenerate[0, j], flags[:, 1])
+        for j, b in enumerate(part.blocks):
+            xs, ys = [tuple(r) for r in b.x], list(b.y)
+            expected = [oracles.nwk_estimate(xs, ys, "naive", h, [q]) for q in queries]
+            flags = np.array([oracle_flags([(xs, ys)], "naive", h, [q]) for q in queries])
+            np.testing.assert_allclose(estimates[0, j], expected, rtol=0, atol=tol)
+            np.testing.assert_array_equal(active[0, j], flags[:, 0])
+            np.testing.assert_array_equal(degenerate[0, j], flags[:, 1])
 
 
 KNN = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
@@ -505,8 +549,7 @@ def assert_knn_matches_oracle(ds, queries, ms, seed=0):
         for k in sorted({1, min(3, part.min_block_size), part.min_block_size}):
             model = AvmModel(part, KNN, Variant.A1_PLAIN, k)
             blocks = oracle_blocks(model)
-            with np.errstate(over="ignore"):  # the oracle squares past the range
-                expected = [oracles.avm_knn(blocks, k, q) for q in queries]
+            expected = [oracles.avm_knn(blocks, k, q) for q in queries]
             got = predict_batch(model, queries).values
             np.testing.assert_allclose(
                 got, expected, rtol=0, atol=tol, err_msg=f"{m=} {k=}"
@@ -550,15 +593,14 @@ def test_sorted_paths_match_oracle_outside_the_normal_range(scale, spread):
     for m in (1, 3):
         part = random_partition(ds, m, 1)
         blocks = [([tuple(r) for r in b.x], list(b.y)) for b in part.blocks]
-        with np.errstate(over="ignore"):  # the oracle squares past the range
-            for variant, fn in (
-                (Variant.A1_PLAIN, oracles.avm_a1_nwk),
-                (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),
-            ):
-                batch = predict_batch(AvmModel(part, NWK, variant, h), queries)
-                assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
-            points = [tuple(c) for c in cand]
-            expected = [oracles.mesh_norm(xs, points) for xs, _ in blocks]
+        for variant, fn in (
+            (Variant.A1_PLAIN, oracles.avm_a1_nwk),
+            (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),
+        ):
+            batch = predict_batch(AvmModel(part, NWK, variant, h), queries)
+            assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
+        points = [tuple(c) for c in cand]
+        expected = [oracles.mesh_norm(xs, points) for xs, _ in blocks]
         assert mesh_norm_report(part, cand).tolist() == expected
     assert_knn_matches_oracle(ds, queries, ms=(1, 3))
 
@@ -632,6 +674,124 @@ def test_dense_memory_is_bounded(family, n):
     assert peak < 16 * 2**20
 
 
+@pytest.fixture
+def tree_spy(monkeypatch):
+    """Counts the k-d trees that partitions build and the ball queries they answer."""
+    spy = {"builds": 0, "balls": 0}
+
+    class SpyTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            spy["builds"] += 1
+            super().__init__(*args, **kwargs)
+
+        def query_ball_point(self, *args, **kwargs):
+            spy["balls"] += 1
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(partition_module, "cKDTree", SpyTree)
+    return spy
+
+
+def test_naive_d5_takes_the_tree_and_matches_oracle(tree_spy):
+    # serve-like density: at the rule h (c=1) a ball holds about 1 % of the
+    # samples, and the default rule sends every query to the k-d tree
+    ds = uniform_dataset(4000, d=5, seed=26)
+    cfg = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=5)
+    queries = np.random.default_rng(26).random((40, 5))
+    tol = 1e-12 * np.abs(ds.y).max()
+    for m in (1, 8):
+        model = fit_avm(ds, cfg, m, 0, Variant.A3_QUALIFIED)
+        balls = tree_spy["balls"]
+        batch = predict_batch(model, queries)
+        assert tree_spy["balls"] > balls
+        blocks, h = oracle_blocks(model), model.h_or_k
+        assert_matches_oracle(batch, blocks, "naive", h, queries, oracles.avm_a3_nwk, tol)
+    assert 0 < batch.active_blocks.min() < 8  # some blocks are inactive at m=8
+
+
+def test_tree_is_built_once_per_partition(tree_spy):
+    # repeated batches and every h of a grid reuse the partition's tree, and
+    # one ball query per chunk serves the whole grid
+    ds = uniform_dataset(3000, d=3, seed=27)
+    cfg = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=3)
+    model = fit_avm(ds, cfg, 4, 0, Variant.A3_QUALIFIED, h=0.05)
+    queries = np.random.default_rng(27).random((30, 3))
+    for _ in range(3):
+        predict_batch(model, queries)
+    block_estimates(model.partition, cfg.family, [0.02, 0.05, 0.08], queries)
+    assert tree_spy == {"builds": 1, "balls": 4}
+    predict_batch(fit_avm(ds, cfg, 4, 0, Variant.A3_QUALIFIED, h=0.05), queries)
+    assert tree_spy == {"builds": 2, "balls": 5}
+
+
+def naive_path_case(case, rng):
+    """Inputs, queries and bandwidths for ``test_naive_paths_match_oracle``.
+
+    Inputs and queries lie on a 1/16 lattice, scaled, so duplicates and
+    samples exactly at distance h occur; two queries lie h outside the
+    samples' box and two far outside. In the "axes" and "sphere" cases
+    every sample lies near distance h from a query: on an axis through it,
+    at the seven doubles nearest to that distance on either side, or on a
+    sphere at d=8, where the tree sums squared gaps in another order.
+    """
+    hs = np.array([2, 5]) / 16
+    d = {"d3": 3, "flat": 3, "sphere": 8}.get(case, 2)
+    if case in ("axes", "sphere"):
+        queries, hs = rng.random((4, d)), np.array([0.3])
+        samples = []
+        for q in queries:
+            if case == "sphere":
+                u = rng.normal(size=(50, d))
+                samples += list(q + 0.3 * u / np.linalg.norm(u, axis=1)[:, None])
+                continue
+            for axis, side, step in itertools.product(range(d), (-0.3, 0.3), range(-3, 4)):
+                end = q[axis] + side
+                samples.append(q.copy())
+                samples[-1][axis] = end + step * np.spacing(end)
+        samples = rng.permutation(np.array(samples))
+    else:
+        samples = rng.integers(0, 17, (60, d)) / 16
+        samples[0] = 1.0
+        if case == "flat":
+            samples[:, 1] = 0.25  # a zero-width coordinate
+        queries = np.vstack([rng.integers(-2, 19, (30, d)) / 16, samples[[0, 0]]])
+        queries[-2:, 0] += hs  # exactly h from the samples' box
+    scale, shift = {
+        "tiny": (1e-160, 0.0),
+        "subnormal": (2.0**-1060, 0.0),
+        "huge": (1e155, 1e160),  # squared gaps overflow; tree spans are too wide
+    }.get(case, (1.0, 0.0))
+    far = [[40.0] * d, [1e200, -1e200] * (d // 2) + [1e200] * (d % 2)]
+    queries = np.vstack([shift + scale * queries, far])
+    y = rng.normal(size=len(samples))
+    return Dataset(shift + scale * samples, y), queries, (scale * hs).tolist()
+
+
+@pytest.mark.parametrize("path", ["tree", "dense"])
+@pytest.mark.parametrize(
+    "case", ["d2", "d3", "flat", "axes", "sphere", "tiny", "subnormal", "huge"]
+)
+def test_naive_paths_match_oracle(monkeypatch, tree_spy, path, case):
+    # the rule's share forced to inf sends every naive h at d>1 to the tree
+    # (except where cKDTree could overflow), and 0 sends every one to the
+    # dense loop; both match the oracle in values and block counts
+    monkeypatch.setattr(avm, "_TREE_BALL_SHARE", np.inf if path == "tree" else 0.0)
+    ds, queries, hs = naive_path_case(case, np.random.default_rng(28))
+    tol = 1e-12 * np.abs(ds.y).max()
+    cfg = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=ds.d)
+    for m in (1, 3):
+        part = random_partition(ds, m, 5)
+        blocks = [([tuple(r) for r in b.x], list(b.y)) for b in part.blocks]
+        for h in hs:
+            for variant, fn in (
+                (Variant.A1_PLAIN, oracles.avm_a1_nwk),
+                (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),
+            ):
+                batch = predict_batch(AvmModel(part, cfg, variant, h), queries)
+                assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
+    assert (tree_spy["balls"] > 0) == (path == "tree" and case != "huge")
+
+
 @pytest.mark.parametrize("n, m, k, t", [(50_000, 1, 32, 1000), (20_000, 10_000, 1, 50)])
 def test_knn_memory_is_bounded(n, m, k, t):
     # one block: query x sample distance and argpartition matrices would take
@@ -667,8 +827,7 @@ def test_knn_falls_back_wherever_the_run_key_overflows(monkeypatch):
             rows.clear()
             model = AvmModel(part, KNN, Variant.A1_PLAIN, k)
             got = predict_batch(model, queries).values
-            with np.errstate(over="ignore"):  # the oracle squares past the range
-                expected = [oracles.avm_knn(oracle_blocks(model), k, q) for q in queries]
+            expected = [oracles.avm_knn(oracle_blocks(model), k, q) for q in queries]
             np.testing.assert_allclose(got, expected, rtol=0, atol=tol, err_msg=f"{m=} {k=}")
             assert sum(rows) == m * len(queries)
 
@@ -761,8 +920,8 @@ _QUERY = [i / 8 for i in range(-2, 11)] + [40.0]
 
 
 @st.composite
-def lattice_problems(draw):
-    d = draw(st.integers(1, 2))
+def lattice_problems(draw, dims=(1, 2)):
+    d = draw(st.integers(*dims))
     n = draw(st.integers(1, 24))
     m = draw(st.integers(1, min(4, n)))
 
@@ -778,10 +937,9 @@ def lattice_problems(draw):
     return Dataset(x, np.array(y) / 100), np.array(queries), m, h, k, seed
 
 
-@settings(max_examples=200)
-@given(lattice_problems())
-def test_variants_match_brute_force_oracle(problem):
-    ds, queries, m, h, k, seed = problem
+def assert_nwk_variants_match_oracle(problem, kinds):
+    """A1, A2 and A3 ``predict_batch`` against the oracle, for NWK ``kinds``."""
+    ds, queries, m, h, _, seed = problem
     tol = 1e-12 * np.abs(ds.y).max()
     # half-step candidates: every covering radius is at least 1/16
     cand = np.array(list(itertools.product(np.arange(0.5, 9) / 8, repeat=ds.d)))
@@ -790,11 +948,9 @@ def test_variants_match_brute_force_oracle(problem):
         Variant.A2_DATA_DEPENDENT: oracles.avm_a2_nwk,
         Variant.A3_QUALIFIED: oracles.avm_a3_nwk,
     }
-    for family, kind in (
-        (EstimatorFamily.NWK_NAIVE, "naive"),
-        (EstimatorFamily.NWK_GAUSSIAN, "gaussian"),
-    ):
-        cfg = EstimatorConfig(family, 1.0, ds.d)
+    families = {"naive": EstimatorFamily.NWK_NAIVE, "gaussian": EstimatorFamily.NWK_GAUSSIAN}
+    for kind in kinds:
+        cfg = EstimatorConfig(families[kind], 1.0, ds.d)
         for variant, fn in oracle.items():
             a2 = variant is Variant.A2_DATA_DEPENDENT
             model = fit_avm(
@@ -809,6 +965,14 @@ def test_variants_match_brute_force_oracle(problem):
                 bandwidth = model.tilde_h
             batch = predict_batch(model, queries)
             assert_matches_oracle(batch, blocks, kind, bandwidth, queries, fn, tol)
+
+
+@settings(max_examples=200)
+@given(lattice_problems())
+def test_variants_match_brute_force_oracle(problem):
+    ds, queries, m, h, k, seed = problem
+    tol = 1e-12 * np.abs(ds.y).max()
+    assert_nwk_variants_match_oracle(problem, ("naive", "gaussian"))
     # k-NN ties go to the lower index within each block
     model = fit_avm(ds, EstimatorConfig(EstimatorFamily.KNN, 1.0, ds.d), m, seed, k=k)
     blocks = oracle_blocks(model)
@@ -818,3 +982,11 @@ def test_variants_match_brute_force_oracle(problem):
         rtol=0,
         atol=tol,
     )
+
+
+@settings(max_examples=200)
+@given(lattice_problems(dims=(2, 3)))
+def test_naive_tree_matches_brute_force_oracle(problem):
+    # every naive h at d>1, A2's wide tilde_h too, forced onto the k-d tree
+    with mock.patch.object(avm, "_TREE_BALL_SHARE", np.inf):
+        assert_nwk_variants_match_oracle(problem, ("naive",))
