@@ -25,19 +25,23 @@ its path by family and input dimension. At d=1 the naive kernel and k-NN
 take ``_sorted_1d`` over the partition's ``x_order`` (each block sorted
 once per partition) and build no query x sample matrix. At d>1 a naive h
 whose ball is small takes ``_naive_tree`` over the partition's ``kdtree``
-(built once per partition): ``_ball_share``, the share of the samples a
-ball would hold were they uniform over their bounding box, is below
-``_TREE_BALL_SHARE`` (2 %). That rule reads only the partition and h, so
-no query's value depends on the others in its batch. Every other case
-(Gaussian, k-NN and wide naive balls at d>1, Gaussian at d=1) is dense, in
-query chunks of about ``_CHUNK_PAIRS`` distances: NWK takes one ``cdist``
-per chunk over the block-major samples and sums each block's columns with
-``np.add.reduceat``; k-NN takes one ``cdist`` per block and chunk for
-``knn_mean``. Every path measures the distance ``cdist`` computes; at d=1
-that is ``distance_1d``, and on the tree a sequential sum of squared gaps.
-The tree path sums each (query, block) pair's samples within h alone, the
-dense one each block's row of kernel weights, zeros included, so the two
-may differ in the last bit, never in which samples they count.
+(built once per partition, and only then): ``_ball_share``, the share of
+the partition's ``probe_distances`` (a fixed sample of its pair distances)
+at most h, is below ``_TREE_BALL_SHARE`` (2 %, halved for each dimension
+past 5). That rule reads only the partition and h, so no query's value
+depends on the others in its batch, and it measures the data's own
+occupancy, clustered or not. The tree's candidates come in batches of
+fewer than ``_CHUNK_PAIRS``, or one query's ball (``_ball_candidates``).
+Every other case (Gaussian, k-NN and wide naive balls at d>1, Gaussian at
+d=1) is dense, in query chunks of about ``_CHUNK_PAIRS`` distances: NWK
+takes one ``cdist`` per chunk over the block-major samples and sums each
+block's columns with ``np.add.reduceat``; k-NN takes one ``cdist`` per
+block and chunk for ``knn_mean``. Every path measures the distance
+``cdist`` computes; at d=1 that is ``distance_1d``, and on the tree a
+sequential sum of squared gaps. The tree path sums each (query, block)
+pair's samples within h alone, the dense one each block's row of kernel
+weights, zeros included, so the two may differ in the last bit, never in
+which samples they count.
 
 At d=1 both estimates are the mean of a run [lo, hi) of the sorted block:
 ``_counts`` places lo and hi by counting samples or keys below a threshold,
@@ -62,7 +66,6 @@ and ``_run_means`` sums each distinct run once with ``np.add.reduceat``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -304,12 +307,15 @@ def _naive_edges(xs: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, n
 # k grow, and a dense chunk stays cache-sized
 _CHUNK_PAIRS = 2**16
 
-# a naive h at d>1 takes the k-d tree while ``_ball_share`` is below this
-# share, and a wider ball the dense loop. On uniform d=5 data (N=10,000; 50
-# queries at m = 8 and 1024, 1,000 at m = 5 and 350; one core of a 2-core
-# VM) the tree took 2.4-43 ms against 6.1-106 ms for the dense loop at a
-# share of 0.7 %, 4.0-86 against 4.6-129 ms at 2.8 %, and 5.8-125 against
-# 4.7-123 ms at 5.4 %: ball queries grow with the ball, the dense loop does not
+# a naive h at d>1 takes the k-d tree while ``_ball_share``, the measured
+# share of samples in a ball, is below this share, halved for each dimension
+# past 5, and a wider ball the dense loop: ball queries grow with the ball and
+# with d, the dense loop does not. On N=10,000 (50 queries at m=8 and 1,000
+# at m=5; uniform d=2, 3, 5, 6 and 8, points along 30 line segments at d=2
+# and 20 Gaussian clusters at d=5; one core of a 2-core VM) the two broke
+# even at about 2.5 % at d=5, 3.5-5 % on the d=2, d=3 and clustered data,
+# above 1 % at d=6 and about 1 % at d=8; at the limit the tree took 0.44-0.75
+# times the dense loop's time at d <= 5, 0.48-0.57 at d=6 and d=8
 _TREE_BALL_SHARE = 0.02
 # ball queries take radius h * (1 + _TREE_SLACK), as the tree sums squared
 # gaps in its own order; the sum in ``cdist``'s order then decides membership
@@ -317,6 +323,9 @@ _TREE_SLACK = 1e-9
 # ``cKDTree`` raises once a squared distance it takes overflows; with h and
 # every side of the samples' box below this span, none within h of the box can
 _TREE_MAX_SPAN = 1e150
+# ``_ball_candidates`` yields a batch from this many candidates, so one holds
+# fewer than ``_CHUNK_PAIRS`` where a query's ball could not hold more
+_TREE_PAIRS = _CHUNK_PAIRS // 2
 
 
 def _sorted_1d(
@@ -434,21 +443,33 @@ def _knn_dense(
             estimates[:, j, r] = np.where(todo[:, j, r], means, estimates[:, j, r])
 
 
-def _ball_share(sides: np.ndarray, h: float) -> float:
-    """Expected share of the samples within ``h`` of a query, at most 1.
+def _ball_share(partition: PartitionedDataset, h: float) -> float:
+    """Share of the partition's ``probe_distances`` at most ``h``, 1 with none:
+    how many samples a ball of radius h around a sample holds, measured."""
+    probe = partition.probe_distances
+    return np.searchsorted(probe, h, "right") / probe.size if probe.size else 1.0
 
-    Samples spread uniformly over a box with ``sides`` put ``V_k h^k`` over
-    the product of the k nonzero sides in a ball, ``V_k`` the volume of the
-    unit k-ball: a box flat in some coordinates meets a ball centred in it
-    in a k-ball. Taken in logs, so that no power or product overflows. It
-    is inf where ``cKDTree`` could overflow.
+
+def _tree_params(partition: PartitionedDataset, params: Sequence[float]) -> list[int]:
+    """Rows of the naive ``params`` at d>1 that take ``_naive_tree``.
+
+    An h takes the tree while its ``_ball_share`` is below
+    ``_TREE_BALL_SHARE``, halved for each dimension past 5, unless h or a
+    side of the samples' box reaches ``_TREE_MAX_SPAN``. Only then is the
+    partition's tree built.
     """
-    if not (h < _TREE_MAX_SPAN and sides.max() < _TREE_MAX_SPAN):
-        return np.inf
-    sides = sides[sides > 0]
-    k = len(sides)
-    log_share = k / 2 * math.log(math.pi) - math.lgamma(k / 2 + 1) + k * math.log(h)
-    return math.exp(min(log_share - float(np.log(sides).sum()), 0.0))
+    limit = _TREE_BALL_SHARE / 2 ** max(0, partition.data.d - 5)
+    small = [
+        p
+        for p, h in enumerate(params)
+        if h < _TREE_MAX_SPAN and _ball_share(partition, h) < limit
+    ]
+    if small:
+        tree = partition.kdtree
+        with np.errstate(over="ignore"):
+            if not (tree.maxes - tree.mins).max() < _TREE_MAX_SPAN:
+                return []
+    return small
 
 
 def _norms(gaps) -> np.ndarray:
@@ -460,23 +481,44 @@ def _norms(gaps) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _ball_candidates(tree, Q: np.ndarray, rows: np.ndarray, radius: float):
+    """``(row, idx)`` arrays pairing each of the query ``rows`` with the tree's
+    samples within ``radius``, in row then sample order.
+
+    Each ball query takes as many rows as would hold ``_TREE_PAIRS``
+    candidates were every sample one (at least one row), and a batch is
+    yielded once it holds ``_TREE_PAIRS`` candidates or the rows run out:
+    so a batch holds fewer than ``_TREE_PAIRS`` plus the larger of
+    ``_TREE_PAIRS`` and N candidates whatever the data, and many small
+    balls make few batches.
+    """
+    size, found, held, start = max(1, _TREE_PAIRS // tree.n), [], 0, 0
+    for r in range(0, len(rows), size):
+        group = tree.query_ball_point(Q[rows[r : r + size]], radius, return_sorted=True)
+        found.extend(group)
+        held += sum(map(len, group))
+        if held >= _TREE_PAIRS or r + size >= len(rows):
+            counts = np.fromiter(map(len, found), np.intp, len(found))
+            idx = np.fromiter(itertools.chain.from_iterable(found), np.intp, held)
+            found, held, group = [], 0, None
+            yield np.repeat(rows[start : r + size], counts), idx
+            start = r + size
+
+
 def _naive_tree(
-    partition: PartitionedDataset, params: Sequence[float], Q: np.ndarray, expected: float
+    partition: PartitionedDataset, params: Sequence[float], Q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Naive NWK means and degenerate flags at d>1, shape (len(params), m, q),
     from k-d tree ball candidates.
 
     A query's candidates are the samples within ``max(params)``, widened by
-    ``_TREE_SLACK``, listed in sample order; a candidate is within h when
-    its distance, summed as ``cdist`` sums it, is at most h, so the balls
-    are the dense path's. Each (query, block) pair's samples within h are
-    then one run of the candidates, which ``_run_means`` sums in sample
-    order. No sample is within h of a query farther than h from the
-    samples' box, as each distance is at least the box's, rounded alike:
-    such a query takes no ball. Chunks of queries hold about
-    ``_CHUNK_PAIRS`` candidates, the first sized from ``expected``
-    candidates per query and each later one from those seen so far,
-    growing at most twofold.
+    ``_TREE_SLACK``, listed in sample order by ``_ball_candidates``; a
+    candidate is within h when its distance, summed as ``cdist`` sums it,
+    is at most h, so the balls are the dense path's. Each (query, block)
+    pair's samples within h are then one run of the candidates, which
+    ``_run_means`` sums in sample order. No sample is within h of a query
+    farther than h from the samples' box, as each distance is at least the
+    box's, rounded alike: such a query takes no ball.
     """
     x, y, offsets = partition.data.x, partition.data.y, partition.offsets
     m, t, tree, top = partition.m, len(Q), partition.kdtree, max(params)
@@ -485,14 +527,7 @@ def _naive_tree(
     with np.errstate(over="ignore"):
         box = np.maximum(np.maximum(tree.mins - Q, Q - tree.maxes), 0.0)
     near = np.flatnonzero(_norms(box.T) <= top)
-    size, done, pairs = max(1, int(_CHUNK_PAIRS // max(expected, 1.0))), 0, 0
-    while done < len(near):
-        rows = near[done : done + size]
-        found = tree.query_ball_point(Q[rows], top * (1 + _TREE_SLACK), return_sorted=True)
-        counts = np.fromiter(map(len, found), np.intp, len(rows))
-        idx = np.fromiter(itertools.chain.from_iterable(found), np.intp, counts.sum())
-        del found
-        row = np.repeat(rows, counts)
+    for row, idx in _ball_candidates(tree, Q, near, top * (1 + _TREE_SLACK)):
         dist = _norms(Q[row, c] - x[idx, c] for c in range(x.shape[1]))
         # (query, block) keys never fall: rows ascend, and each query's
         # candidates ascend through the block-major samples
@@ -504,8 +539,6 @@ def _naive_tree(
             q, block = np.divmod(k[lo], m)
             estimates[p, block, q] = _run_means(y[idx[inside]], lo, np.append(lo[1:], len(k)))
             degenerate[p, block, q] = False
-        done, pairs = done + len(rows), pairs + len(idx)
-        size = max(1, min(2 * len(rows), _CHUNK_PAIRS * done // max(pairs, 1)))
     return estimates, degenerate
 
 
@@ -525,9 +558,9 @@ def block_estimates(
 
     At d=1 the naive kernel and k-NN take ``_sorted_1d``, which sorts the
     queries once for the grid, and k-NN's undecided pairs go to
-    ``_knn_dense``, as every k-NN pair does at d>1. At d>1 each naive h
-    with ``_ball_share`` below ``_TREE_BALL_SHARE`` takes ``_naive_tree``,
-    one ball query per chunk for all of them. The other NWK h take one
+    ``_knn_dense``, as every k-NN pair does at d>1. At d>1 the naive h
+    that ``_tree_params`` picks (small measured balls) take ``_naive_tree``,
+    whose ball queries serve all of them. The other NWK h take one
     ``cdist`` matrix per chunk of query rows, against all the samples, for
     the whole grid. Every block and row is reduced alone, so no result
     depends on the chunk size or on the other queries in the batch.
@@ -553,15 +586,10 @@ def block_estimates(
     dense = list(enumerate(params))
     if kind is KernelKind.NAIVE:
         # small balls from the k-d tree, wide ones from the dense loop below
-        tree = partition.kdtree
-        with np.errstate(over="ignore"):
-            sides = tree.maxes - tree.mins
-        shares = [_ball_share(sides, h) for h in params]
-        small = [p for p, share in enumerate(shares) if share < _TREE_BALL_SHARE]
+        small = _tree_params(partition, params)
         if small:
-            expected = max(shares[p] for p in small) * len(x)
             hs = [params[p] for p in small]
-            estimates[small], degenerate[small] = _naive_tree(partition, hs, Q, expected)
+            estimates[small], degenerate[small] = _naive_tree(partition, hs, Q)
             active[small] = ~degenerate[small]
             dense = [(p, h) for p, h in dense if p not in small]
     size = max(1, _CHUNK_PAIRS // len(x))

@@ -380,7 +380,7 @@ def test_block_estimates_over_a_grid_matches_single_calls(monkeypatch, family, d
         x, queries = rng.random((1500, d)), rng.random((100, d))
     part = random_partition(Dataset(x, rng.normal(size=len(x))), 3, 4)
     if d == 5:  # the grid spans the crossover: one call takes both naive paths
-        shares = [avm._ball_share(np.ptp(x, axis=0), h) for h in params]
+        shares = [avm._ball_share(part, h) for h in params]
         assert min(shares) < avm._TREE_BALL_SHARE < max(shares)
     calls = []
     monkeypatch.setattr(avm, "knn_mean", lambda *a: calls.append(a) or knn_mean(*a))
@@ -651,17 +651,21 @@ def test_dense_sums_do_not_depend_on_the_chunk_size(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family, n",
+    "family, n, share",
     [
-        (EstimatorFamily.NWK_NAIVE, 200_000),
-        (EstimatorFamily.NWK_GAUSSIAN, 50_000),
-        (EstimatorFamily.KNN, 50_000),
+        (EstimatorFamily.NWK_NAIVE, 200_000, None),
+        (EstimatorFamily.NWK_NAIVE, 200_000, 0.0),
+        (EstimatorFamily.NWK_GAUSSIAN, 50_000, None),
+        (EstimatorFamily.KNN, 50_000, None),
     ],
-    ids=["naive", "gaussian", "knn"],
+    ids=["naive", "naive-dense", "gaussian", "knn"],
 )
-def test_dense_memory_is_bounded(family, n):
+def test_dense_memory_is_bounded(monkeypatch, family, n, share):
     # one d=2 block: a query x sample matrix would take 1.5 GiB (naive) or
-    # 400 MB; query chunks of about _CHUNK_PAIRS distances hold a few MiB
+    # 400 MB; query chunks of about _CHUNK_PAIRS distances hold a few MiB.
+    # The rule h sends naive to the k-d tree; a share of 0 forces it dense
+    if share is not None:
+        monkeypatch.setattr(avm, "_TREE_BALL_SHARE", share)
     ds = uniform_dataset(n, d=2, seed=25)
     model = fit_avm(ds, EstimatorConfig(family, r=1.0, d=2), 1, 0)
     queries = np.random.default_rng(25).random((1000, 2))
@@ -692,6 +696,46 @@ def tree_spy(monkeypatch):
     return spy
 
 
+def test_tree_memory_is_bounded_on_clustered_data(monkeypatch, tree_spy):
+    # 4,999 samples in a 0.01 square and one far off: each query's ball
+    # holds every clustered sample, where uniform occupancy of the samples'
+    # box would put 1e-6 of them. The measured share sends the rule dense;
+    # forced onto the tree, 1.5 million candidates go by in bounded batches
+    rng = np.random.default_rng(29)
+    x = np.vstack([0.01 * rng.random((4999, 2)), [[100.0, 100.0]]])
+    part = random_partition(Dataset(x, rng.normal(size=len(x))), 4, 0)
+    cfg = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=2)
+    model = AvmModel(part, cfg, Variant.A3_QUALIFIED, 0.05)
+    queries = 0.01 * rng.random((300, 2))
+    assert avm._ball_share(part, 0.05) > 0.99
+    batches = []
+    for share in (avm._TREE_BALL_SHARE, np.inf):
+        monkeypatch.setattr(avm, "_TREE_BALL_SHARE", share)
+        tracemalloc.start()
+        try:
+            batches.append(predict_batch(model, queries))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert (tree_spy["balls"] > 0) == (share == np.inf)
+    assert batches[0].active_blocks.tolist() == batches[1].active_blocks.tolist()
+    np.testing.assert_allclose(batches[0].values, batches[1].values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, limit", [(2, 0.02), (5, 0.02), (6, 0.01), (8, 0.0025)])
+def test_tree_share_limit_halves_past_d5(d, limit):
+    # an h takes the tree just below the measured share limit, 2 % halved
+    # for each dimension past 5, and the dense loop just above it
+    rng = np.random.default_rng(30)
+    part = random_partition(Dataset(rng.random((2000, d)), rng.normal(size=2000)), 2, 0)
+    probe = part.probe_distances
+    below = probe[int(limit * probe.size) - 2]
+    above = probe[int(limit * probe.size) + 1]
+    assert avm._ball_share(part, below) < limit < avm._ball_share(part, above)
+    assert avm._tree_params(part, [above, below, above]) == [1]
+
+
 def test_naive_d5_takes_the_tree_and_matches_oracle(tree_spy):
     # serve-like density: at the rule h (c=1) a ball holds about 1 % of the
     # samples, and the default rule sends every query to the k-d tree
@@ -710,18 +754,24 @@ def test_naive_d5_takes_the_tree_and_matches_oracle(tree_spy):
 
 
 def test_tree_is_built_once_per_partition(tree_spy):
-    # repeated batches and every h of a grid reuse the partition's tree, and
-    # one ball query per chunk serves the whole grid
+    # repeated batches and every h of a grid reuse the partition's tree, the
+    # same ball queries (one per group of _TREE_PAIRS // N rows) serve the
+    # whole grid, and a call whose every ball is wide builds no tree
     ds = uniform_dataset(3000, d=3, seed=27)
     cfg = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=3)
     model = fit_avm(ds, cfg, 4, 0, Variant.A3_QUALIFIED, h=0.05)
     queries = np.random.default_rng(27).random((30, 3))
+    groups = -(-len(queries) // (avm._TREE_PAIRS // ds.n))
     for _ in range(3):
         predict_batch(model, queries)
     block_estimates(model.partition, cfg.family, [0.02, 0.05, 0.08], queries)
-    assert tree_spy == {"builds": 1, "balls": 4}
+    assert tree_spy == {"builds": 1, "balls": 4 * groups}
     predict_batch(fit_avm(ds, cfg, 4, 0, Variant.A3_QUALIFIED, h=0.05), queries)
-    assert tree_spy == {"builds": 2, "balls": 5}
+    assert tree_spy == {"builds": 2, "balls": 5 * groups}
+    wide = fit_avm(ds, cfg, 4, 0, Variant.A3_QUALIFIED, h=0.5)
+    assert avm._ball_share(wide.partition, 0.5) > avm._TREE_BALL_SHARE
+    predict_batch(wide, queries)
+    assert tree_spy == {"builds": 2, "balls": 5 * groups}
 
 
 def naive_path_case(case, rng):
