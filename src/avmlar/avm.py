@@ -73,7 +73,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, EstimatorConfig, EstimatorFamily, distance_1d
+from .core import Dataset, EstimatorConfig, EstimatorFamily, cdist_norms, distance_1d
 from .kernels import KernelKind, kernel_profile
 from .partition import (
     PartitionedDataset,
@@ -472,15 +472,6 @@ def _tree_params(partition: PartitionedDataset, params: Sequence[float]) -> list
     return small
 
 
-def _norms(gaps) -> np.ndarray:
-    """Root of the squared ``gaps`` summed in order, as ``cdist`` sums coordinates."""
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for gap in gaps:
-            total = total + gap * gap
-    return np.sqrt(total)
-
-
 def _ball_candidates(tree, Q: np.ndarray, rows: np.ndarray, radius: float):
     """``(row, idx)`` arrays pairing each of the query ``rows`` with the tree's
     samples within ``radius``, in row then sample order.
@@ -526,9 +517,9 @@ def _naive_tree(
     degenerate = np.ones(estimates.shape, dtype=bool)
     with np.errstate(over="ignore"):
         box = np.maximum(np.maximum(tree.mins - Q, Q - tree.maxes), 0.0)
-    near = np.flatnonzero(_norms(box.T) <= top)
+    near = np.flatnonzero(cdist_norms(box.T) <= top)
     for row, idx in _ball_candidates(tree, Q, near, top * (1 + _TREE_SLACK)):
-        dist = _norms(Q[row, c] - x[idx, c] for c in range(x.shape[1]))
+        dist = cdist_norms(Q[row, c] - x[idx, c] for c in range(x.shape[1]))
         # (query, block) keys never fall: rows ascend, and each query's
         # candidates ascend through the block-major samples
         key = row * m + np.searchsorted(offsets, idx, "right") - 1

@@ -146,6 +146,15 @@ def distance_1d(q: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.sqrt(np.square(dist, out=dist), out=dist)
 
 
+def cdist_norms(gaps) -> np.ndarray:
+    """Root of the squared ``gaps`` summed in order, as ``cdist`` sums coordinates."""
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for gap in gaps:
+            total = total + gap * gap
+    return np.sqrt(total)
+
+
 def mse(predictions: Sequence[float], targets: Sequence[float]) -> float:
     """Mean squared error between two equal-length sequences."""
     p = np.asarray(predictions, dtype=np.float64).reshape(-1)

@@ -7,10 +7,14 @@ the standard choice and callers may override it.
 
 ``mesh_norm_report`` takes every block at d=1 in one pass over its gaps,
 to -inf and +inf at the ends, scoring the two candidates that bracket each
-gap's midpoint, with no loop over blocks. At d>1 it takes a small block
-by directed Hausdorff (Taha & Hanbury 2015), which stops scanning a
-candidate at the first sample nearer than the largest distance found so
-far, and a large block by a k-d tree.
+gap's midpoint, with no loop over blocks. At d>1 it takes each block by
+one of three rules, by its size: a small block by ``_pruned_radii``,
+which bounds the distances from the leaves of a k-d tree over the
+candidates to the block and measures exactly only the leaves that could
+hold its farthest candidate; a mid-size block by directed Hausdorff (Taha
+& Hanbury 2015), which stops scanning a candidate at the first sample
+nearer than the largest distance found so far; and a large block by a k-d
+tree over the block. Every radius is a ``cdist`` distance.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, directed_hausdorff
 
-from .core import Dataset, distance_1d
+from .core import Dataset, cdist_norms, distance_1d
 
 # at d>1 a block of at most this many samples per dimension is taken by
 # directed Hausdorff, a larger one by a k-d tree. Measured on uniform data,
@@ -31,6 +35,27 @@ from .core import Dataset, distance_1d
 # and 3,000 for d=3 (10,000); at d=5 the tree wins only from about 8,000
 # and at d=8 not yet at 16,000, so the rule is conservative there
 _HAUSDORFF_SAMPLES_PER_DIM = 1000
+# at d>1 a block of at most this many samples, halved for each dimension, is
+# taken by ``_pruned_radii``, a larger one by directed Hausdorff. On N=10,000
+# uniform samples (candidates: the samples and the box corners), the two cost
+# the same at about 250-450 samples for d=2 (two runs), 175-200 for d=3, 110
+# for d=4, 55 for d=5 and 12-17 for d=8, and at 75-100 for d=5 on 20
+# Gaussian clusters
+_PRUNED_SAMPLES = 1600
+# candidates per leaf, at most, of the k-d tree over the candidates that
+# ``_pruned_radii`` bounds by. On g2 data at N=10,000, d=5 (10,032
+# candidates), at most 8, 16 and 32 took about 170, 145 and 280 ms for 1,024
+# blocks and 155, 130 and 275 ms for 250 blocks
+_CANDIDATE_LEAF = 16
+# ``_pruned_radii`` shuts a (block, leaf) pair only where the pair's distance
+# bound, widened by d times this relative margin, is below the block's lower
+# bound, the lower bound is at least 1 / ``_PRUNE_RANGE`` and the distance
+# bound at most ``_PRUNE_RANGE``: their squares are then normal doubles
+_PRUNE_MARGIN = 2.0**-40
+_PRUNE_RANGE = 2.0**480
+# distances per ``cdist`` call of ``_pruned_radii``, as in a dense chunk of
+# ``avm``
+_CHUNK_DISTANCES = 2**16
 # samples per leaf of ``PartitionedDataset.kdtree``. On uniform data at N=10,000
 # and 1,000 queries, ball queries of about 50 samples took 20 ms at d=5 with
 # leaves of 128 against 28 ms with scipy's default 16, 34 against 68 ms at
@@ -157,6 +182,82 @@ def default_candidates(dataset: Dataset) -> np.ndarray:
     return np.array(dataset.x)
 
 
+def _candidate_leaves(cand: np.ndarray):
+    """``cand`` in the leaf order of a k-d tree over it, and each leaf's first
+    row, representative and radius.
+
+    Leaves hold at most ``_CANDIDATE_LEAF`` candidates. A leaf's
+    representative is its candidate nearest the centre of its bounding box,
+    and its radius the largest distance, summed as ``cdist`` sums it, from
+    one of its candidates to the representative.
+    """
+    tree = cKDTree(cand, leafsize=_CANDIDATE_LEAF)
+    nodes, firsts = [tree.tree], []
+    while nodes:
+        node = nodes.pop()
+        if node.lesser is None:
+            firsts.append(node.start_idx)
+        else:
+            nodes += (node.lesser, node.greater)
+    firsts = np.sort(firsts)
+    c = cand[tree.indices]
+    leaf = np.repeat(np.arange(len(firsts)), np.diff(firsts, append=len(c)))
+    centre = np.minimum.reduceat(c, firsts) * 0.5 + np.maximum.reduceat(c, firsts) * 0.5
+    with np.errstate(over="ignore"):
+        off = cdist_norms((c - centre[leaf]).T)
+        rep = np.lexsort((off, leaf))[firsts]
+        radius = np.maximum.reduceat(cdist_norms((c - c[rep][leaf]).T), firsts)
+    return c, firsts, c[rep], radius
+
+
+def _pruned_radii(
+    x: np.ndarray, offsets: np.ndarray, blocks: np.ndarray, cand: np.ndarray
+) -> np.ndarray:
+    """Covering radii of the ``blocks`` of block-major samples ``x``, from
+    exact ``cdist`` distances only where a candidate leaf could hold a
+    block's farthest candidate (see ``mesh_norm_report``).
+
+    Blocks go in groups of ``_CHUNK_DISTANCES`` // max(k, n) for k
+    candidates and blocks of at most n samples, and each ``cdist`` call
+    takes at most ``_CHUNK_DISTANCES`` distances where one block holds
+    fewer samples, so no temporary grows with the number of blocks.
+    """
+    c, firsts, reps, reach = _candidate_leaves(cand)
+    counts = np.diff(firsts, append=len(c))
+    sizes = offsets[blocks + 1] - offsets[blocks]
+    group = max(1, _CHUNK_DISTANCES // max(len(c), sizes.max()))
+    widen = 1 + x.shape[1] * _PRUNE_MARGIN
+    radii = np.empty(len(blocks))
+    for g in range(0, len(blocks), group):
+        size = sizes[g : g + group]
+        ends = np.cumsum(size)
+        xs = x[np.repeat(offsets[blocks[g : g + group]] - ends + size, size) + np.arange(ends[-1])]
+        # near[b, l]: the distance from block b to leaf l's representative
+        near = np.empty((len(size), len(reps)))
+        step = max(1, _CHUNK_DISTANCES // len(xs))
+        for r in range(0, len(reps), step):
+            dist = cdist(xs, reps[r : r + step])
+            for b, e in enumerate(ends):
+                near[b, r : r + step] = dist[e - size[b] : e].min(axis=0)
+        low = near.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            bound = near + reach
+            shut = (bound * widen < low) & (bound <= _PRUNE_RANGE) & (low >= 1 / _PRUNE_RANGE)
+        # every candidate of each open (block, leaf) pair, block by block
+        b_open, l_open = np.nonzero(~shut)
+        held = counts[l_open]
+        picked = c[np.repeat(firsts[l_open] - np.cumsum(held) + held, held) + np.arange(held.sum())]
+        stop = np.cumsum(np.bincount(b_open, held, len(size)).astype(np.intp))
+        for b, (lo, hi) in enumerate(itertools.pairwise(np.append(0, stop))):
+            block = xs[ends[b] - size[b] : ends[b]]
+            step = max(1, _CHUNK_DISTANCES // size[b])
+            radii[g + b] = max(
+                cdist(block, picked[i : min(i + step, hi)]).min(axis=0).max()
+                for i in range(lo, hi, step)
+            )
+    return radii
+
+
 def mesh_norm_report(
     partition: PartitionedDataset, candidates: np.ndarray
 ) -> np.ndarray:
@@ -185,12 +286,40 @@ def mesh_norm_report(
     block's largest score, it and the score found lie within 2**-966 of 0,
     and ``distance_1d``, which measures as ``cdist`` does, squares both to 0.
 
-    At d>1 a block of at most ``_HAUSDORFF_SAMPLES_PER_DIM * d`` samples
-    is taken by ``directed_hausdorff``, which breaks off a candidate as
-    soon as one sample is nearer than the largest distance found so far
-    (Taha & Hanbury 2015), and sums squared gaps in order, as ``cdist``
-    does. A larger block is taken by a k-d tree, whose sums round
-    differently from d=8 on and may then differ in the last bit.
+    At d>1 a block takes one of three rules by its size n.
+
+    While n is at most ``_PRUNED_SAMPLES / 2**d``, ``_pruned_radii`` takes
+    it. The candidates are split into the leaves of a k-d tree over them.
+    Leaf l has a representative candidate r_l and a radius p_l, the largest
+    distance from one of its candidates to r_l. ``cdist`` over groups of
+    blocks gives D_jl, the distance from block j to r_l, and L_j = max_l
+    D_jl, a candidate's distance to the block and so at most its radius. A
+    candidate c of leaf l lies within |c - r_l| + D_jl of the block sample
+    nearest r_l (triangle inequality), so it cannot lie farther than
+    D_jl + p_l from the block. In floats, ``cdist`` measures each distance
+    within a relative (d + 2) * 2**-52 of the exact one while no squared
+    gap overflows, plus sqrt(d) * 2**-537 from squares that underflow. So
+    the pair (j, l) is shut only where (D_jl + p_l) * (1 + d * 2**-40) <
+    L_j, with L_j at least 2**-480 and D_jl + p_l at most 2**480: there
+    every candidate of the leaf is nearer the block than L_j by ``cdist``
+    too, and cannot hold the radius. Each open pair takes the exact
+    ``cdist`` distances from the leaf's candidates to the block's samples,
+    and the radius is the largest of their minima: the leaf holding L_j is
+    open, so that is the largest over every candidate. With squared gaps
+    outside the normal range (inputs near 1e-160 or 1e160) no pair shuts,
+    and every distance is taken.
+
+    While n is at most ``_HAUSDORFF_SAMPLES_PER_DIM * d``,
+    ``directed_hausdorff`` takes it. It breaks off a candidate as soon as
+    one sample is nearer than the largest distance found so far (Taha &
+    Hanbury 2015), and sums squared gaps in order, as ``cdist`` does.
+
+    A larger block is taken by a k-d tree over its samples, and each
+    candidate's nearest sample found is measured again as ``cdist`` sums
+    it. The tree picks that sample by its own sums, which round
+    differently from d=8 on: where two samples' distances to a candidate
+    differ only in their last bits, it may pick the one ``cdist`` puts
+    farther, and the radius may then exceed ``cdist``'s in its last bit.
     """
     cand = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     if cand.shape[0] < 1:
@@ -202,12 +331,23 @@ def mesh_norm_report(
     if not np.all(np.isfinite(cand)):
         raise ValueError("candidates must be finite")
     if d > 1:
+        offsets = partition.offsets
+        sizes = np.diff(offsets)
         radii = np.empty(partition.m)
-        for j, (a, b) in enumerate(itertools.pairwise(partition.offsets)):
-            if b - a <= _HAUSDORFF_SAMPLES_PER_DIM * d:
-                radii[j] = directed_hausdorff(cand, x[a:b])[0]
+        pruned = sizes <= _PRUNED_SAMPLES * 0.5**d
+        if pruned.any():
+            radii[pruned] = _pruned_radii(x, offsets, np.flatnonzero(pruned), cand)
+        for j in np.flatnonzero(~pruned):
+            block = x[offsets[j] : offsets[j + 1]]
+            if len(block) <= _HAUSDORFF_SAMPLES_PER_DIM * d:
+                radii[j] = directed_hausdorff(cand, block)[0]
             else:
-                radii[j] = np.max(cKDTree(x[a:b]).query(cand)[0])
+                # the tree marks a candidate whose squared distances all
+                # overflow with the index len(block)
+                idx = cKDTree(block).query(cand)[1]
+                with np.errstate(over="ignore"):
+                    gaps = cand - block[np.minimum(idx, len(block) - 1)]
+                radii[j] = np.where(idx < len(block), cdist_norms(gaps.T), np.inf).max()
         return radii
     c = np.sort(cand[:, 0])
     xs = x[partition.x_order, 0]

@@ -26,7 +26,7 @@ def kernel_value(kind: str, scaled: float) -> float:
     if kind == "naive":
         return 1.0 if scaled <= 1.0 else 0.0
     if kind == "gaussian":
-        return math.exp(-(scaled**2))
+        return math.exp(-(scaled * scaled))  # a huge square is inf: weight 0
     raise ValueError(kind)
 
 

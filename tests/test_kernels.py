@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from avmlar import KernelKind
 from avmlar.kernels import kernel_profile
 
@@ -24,6 +25,14 @@ def test_gaussian_at_origin():
 
 def test_gaussian_at_unit_norm():
     assert kernel_profile(KernelKind.GAUSSIAN, 1.0) == pytest.approx(0.36788, abs=1e-5)
+
+
+def test_oracle_gaussian_weight_underflows_to_zero():
+    # the square of 1e200 overflows to inf rather than raising, as it does
+    # where the library calls kernel_profile
+    assert oracles.kernel_value("gaussian", 1e200) == 0.0
+    with np.errstate(over="ignore"):
+        assert kernel_profile(KernelKind.GAUSSIAN, 1e200) == 0.0
 
 
 def test_values_in_unit_interval():

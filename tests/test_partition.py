@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import oracles
+from avmlar import partition as partition_module
 from avmlar import (
     Dataset,
     PartitionedDataset,
@@ -214,10 +216,12 @@ def test_mesh_norm_1d_end_gaps_overflow_to_inf():
 
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160])
 def test_mesh_norm_both_d2_rules_match_oracle(scale):
-    # one block above the directed Hausdorff limit (2,000 samples at d=2)
-    # takes the k-d tree; the 1-10 sample blocks take directed Hausdorff
+    # one partition on all three d>1 rules: a block above the directed
+    # Hausdorff limit (2,000 samples at d=2) takes the k-d tree, one of 600
+    # samples directed Hausdorff, and the 1-10 sample blocks the pruned path
+    assert 10 <= partition_module._PRUNED_SAMPLES / 4 < 600
     rng = np.random.default_rng(13)
-    sizes = [2100] + rng.integers(1, 11, size=50).tolist()
+    sizes = [2100, 600] + rng.integers(1, 11, size=50).tolist()
     n = sum(sizes)
     ds = Dataset(rng.random((n, 2)) * scale, np.zeros(n))
     indices = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
@@ -225,6 +229,97 @@ def test_mesh_norm_both_d2_rules_match_oracle(scale):
     cand = rng.random((40, 2)) * 1.2 * scale
     expected = [oracle_radius(b.x, cand) for b in part.blocks]
     assert mesh_norm_report(part, cand).tolist() == expected
+
+
+def distance_counter(monkeypatch):
+    """Counts the distances ``mesh_norm_report``'s ``cdist`` calls return."""
+    seen = [0]
+
+    def counting(a, b, *args, **kwargs):
+        seen[0] += len(a) * len(b)
+        return cdist(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(partition_module, "cdist", counting)
+    return seen
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_mesh_norm_pruned_blocks_match_oracle(monkeypatch, d, scale):
+    # blocks of 1-10 samples on the pruned path, one-sample blocks among
+    # them: half the inputs uniform, half in four tight clusters, one input
+    # repeated five times, and candidates that are samples, lie in the box
+    # or lie beyond it. At 1e-160 squared gaps underflow, at 1e160 they
+    # overflow: no pair may be shut there, so every distance is taken
+    rng = np.random.default_rng(20 + d)
+    centres = rng.random((4, d))
+    x = np.vstack(
+        [rng.random((150, d)), centres[rng.integers(0, 4, 150)] + rng.normal(0, 0.01, (150, d))]
+    )
+    x[-5:] = x[0]
+    cand = np.vstack([x[::3], rng.random((60, d)), rng.random((40, d)) * 1.4 - 0.2])
+    ds = Dataset(x * scale, np.zeros(len(x)))
+    sizes = [1] * 10 + [10] * 4 + rng.integers(1, 11, size=40).tolist()
+    indices = np.split(rng.permutation(len(x))[: sum(sizes)], np.cumsum(sizes)[:-1])
+    part = PartitionedDataset.from_indices(ds, indices)
+    seen = distance_counter(monkeypatch)
+    expected = [oracle_radius(b.x, cand * scale) for b in part.blocks]
+    assert mesh_norm_report(part, cand * scale).tolist() == expected
+    # distances to the leaf representatives, then to every candidate of
+    # every open (block, leaf) pair
+    leaves = len(partition_module._candidate_leaves(cand * scale)[1])
+    every = (leaves + len(cand)) * part.data.n
+    assert seen[0] < every if scale == 1.0 else seen[0] == every
+
+
+def test_mesh_norm_pruned_calls_stay_at_chunk_scale(monkeypatch):
+    # few candidates and blocks of 100 samples: a group sized by the
+    # candidates alone would send all 2,000 samples to one cdist call
+    monkeypatch.setattr(partition_module, "_CHUNK_DISTANCES", 1024)
+    sizes = []
+
+    def spy(a, b, *args, **kwargs):
+        sizes.append(len(a) * len(b))
+        return cdist(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(partition_module, "cdist", spy)
+    rng = np.random.default_rng(15)
+    part = random_partition(Dataset(rng.random((2000, 2)), np.zeros(2000)), 20, 0)
+    cand = rng.random((8, 2))
+    expected = [oracle_radius(b.x, cand) for b in part.blocks]
+    assert mesh_norm_report(part, cand).tolist() == expected
+    assert 0 < max(sizes) <= 1024
+
+
+@pytest.mark.parametrize("d", [8, 9, 10, 11, 12])
+def test_mesh_norm_tree_side_is_exact_at_high_d(monkeypatch, d):
+    # from d=8 on, the tree's own sums of squared gaps round differently from
+    # cdist's; each nearest sample it finds is measured again. Both size
+    # limits are lowered so that blocks small enough for the oracle take the
+    # tree
+    monkeypatch.setattr(partition_module, "_HAUSDORFF_SAMPLES_PER_DIM", 0)
+    monkeypatch.setattr(partition_module, "_PRUNED_SAMPLES", 0)
+    rng = np.random.default_rng(30 + d)
+    sizes = rng.integers(1, 30, size=60)
+    ds = Dataset(rng.random((sizes.sum(), d)), np.zeros(sizes.sum()))
+    part = PartitionedDataset.from_indices(ds, np.split(np.arange(ds.n), np.cumsum(sizes)[:-1]))
+    cand = rng.random((20, d))
+    expected = [oracle_radius(b.x, cand) for b in part.blocks]
+    assert mesh_norm_report(part, cand).tolist() == expected
+
+
+@pytest.mark.parametrize("rule", ["pruned", "hausdorff", "tree"])
+def test_mesh_norm_d2_gaps_overflow_to_inf(monkeypatch, rule):
+    # differences between samples and candidates at +-1e308 overflow to inf
+    # on each d>1 rule, with no warning
+    limits = {"pruned": (1600, 1000), "hausdorff": (0, 1000), "tree": (0, 0)}[rule]
+    monkeypatch.setattr(partition_module, "_PRUNED_SAMPLES", limits[0])
+    monkeypatch.setattr(partition_module, "_HAUSDORFF_SAMPLES_PER_DIM", limits[1])
+    x = np.array([[-1e308, 0.0], [1e308, 0.0], [1e308, 1e308]])
+    part = PartitionedDataset.from_indices(Dataset(x, np.zeros(3)), [[0], [1, 2]])
+    cand = np.vstack([x, [[0.0, 0.0], [-1e308, 1e308]]])
+    expected = [oracle_radius(b.x, cand) for b in part.blocks]
+    assert mesh_norm_report(part, cand).tolist() == expected == [np.inf, np.inf]
 
 
 @pytest.mark.parametrize("n, d", [(5, 1), (5, 2), (2500, 2)], ids=["d1", "hausdorff", "tree"])
@@ -253,17 +348,23 @@ def test_x_order_sorts_each_block_stably():
 
 
 @pytest.mark.parametrize(
-    "n, d, m",
-    [(1000, 5, 1), (1000, 5, 100), (20_000, 1, 10_000)],
-    ids=["d5-one-block", "d5-small-blocks", "d1-half"],
+    "n, d, m, k",
+    [
+        (1000, 5, 1, 4000),
+        (1000, 5, 100, 4000),
+        (20_000, 1, 10_000, 4000),
+        (20_000, 5, 4000, 20_000),
+    ],
+    ids=["d5-one-block", "d5-small-blocks", "d1-half", "d5-pruned"],
 )
-def test_mesh_norm_memory_is_bounded(n, d, m):
-    # a candidate-by-sample distance array would take 4000 * n * d * 8 B;
-    # one k-d tree (one block), many directed Hausdorff calls (m = n/10),
-    # and the d=1 gap pass at m = n/2
+def test_mesh_norm_memory_is_bounded(n, d, m, k):
+    # a candidate-by-sample distance array would take k * n * 8 B: one k-d
+    # tree (one block), the pruned path at 10 and at 5 samples per block (a
+    # leaf-by-block array would take 2,048 * 4,000 * 8 B = 66 MB there), and
+    # the d=1 gap pass at m = n/2
     rng = np.random.default_rng(9)
     part = random_partition(Dataset(rng.random((n, d)), np.zeros(n)), m, 0)
-    cand = rng.random((4000, d))
+    cand = rng.random((k, d))
     tracemalloc.start()
     try:
         mesh_norm_report(part, cand)
