@@ -23,7 +23,8 @@ for h and k.
 one row per parameter, reading the partition once for the grid. It picks
 its path by family and input dimension. At d=1 the naive kernel and k-NN
 take ``_sorted_1d`` over the partition's ``x_order`` (each block sorted
-once per partition) and build no query x sample matrix. At d>1 a naive h
+once per partition) in block groups of about ``_GROUP_PAIRS`` (block,
+query) pairs, and build no query x sample matrix. At d>1 a naive h
 whose ball is small takes ``_naive_tree`` over the partition's ``kdtree``
 (built once per partition, and only then): ``_ball_share``, the share of
 the partition's ``probe_distances`` (a fixed sample of its pair distances)
@@ -45,7 +46,9 @@ which samples they count.
 
 At d=1 both estimates are the mean of a run [lo, hi) of the sorted block:
 ``_counts`` places lo and hi by counting samples or keys below a threshold,
-and ``_run_means`` sums each distinct run once with ``np.add.reduceat``.
+per block or in one pass over a group, and ``_run_means`` sums each
+distinct run once with ``np.add.reduceat`` (a k-NN run of one sample is
+its y).
 
 * Naive NWK: the run is the window ``distance_1d(q, x) <= h``, its edges
   the first samples inside it, found by bisecting the sorted samples with
@@ -302,10 +305,17 @@ def _naive_edges(xs: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, n
     return edges[:t], -edges[t:]
 
 
-# (block, query) pairs per block group of ``_sorted_1d``, and distances per
-# dense query chunk or ``knn_mean`` call: temporaries stay O(pairs) as N, m and
-# k grow, and a dense chunk stays cache-sized
+# distances per dense query chunk or ``knn_mean`` call: temporaries stay
+# O(pairs) as N, m and k grow, and a dense chunk stays cache-sized
 _CHUNK_PAIRS = 2**16
+
+# (block, query) pairs per block group of ``_sorted_1d``: a group's float
+# temporaries take 256 KiB each, so the few alive at once stay about L2-sized
+# (2 MiB a core). At N=10,000 and 1,000 queries, 2**15 took 0.88-0.92 times
+# the time of 2**16 for both families at m=350 and the naive kernel at m=50,
+# and 0.97-1.03 times at m=5 and for k-NN at m=50 (two runs); 2**13 and 2**14
+# were no faster anywhere and slower at m=350
+_GROUP_PAIRS = 2**15
 
 # a naive h at d>1 takes the k-d tree while ``_ball_share``, the measured
 # share of samples in a ball, is below this share, halved for each dimension
@@ -334,7 +344,7 @@ def _sorted_1d(
     """Run means and flags at 1-d queries ``q``, shape (len(params), m, len(q)).
 
     Flags mark the degenerate pairs (naive) or the undecided ones (k-NN).
-    Each h or k walks the blocks in groups of about ``_CHUNK_PAIRS`` pairs.
+    Each h or k walks the blocks in groups of about ``_GROUP_PAIRS`` pairs.
     """
     m, t, naive = partition.m, len(q), family is EstimatorFamily.NWK_NAIVE
     order = np.argsort(q, kind="stable")
@@ -343,7 +353,7 @@ def _sorted_1d(
     x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
     estimates = np.empty((len(params), m, t))
     flags = np.zeros(estimates.shape, dtype=bool)
-    step = max(1, _CHUNK_PAIRS // max(1, t))
+    step = max(1, _GROUP_PAIRS // max(1, t))
     if naive:
         xs = np.sort(x)
     for p, h_or_k in enumerate(params):
@@ -373,12 +383,19 @@ def _sorted_1d(
                 lo = _counts(key[a:b], group, twice, "left")
                 hi = lo + k
                 # decided: the sample just outside each side is past the block
-                # end or farther than both run ends
-                end = np.maximum(distance_1d(qs, xg[lo]), distance_1d(qs, xg[hi - 1]))
-                left = distance_1d(qs, xg.take(lo - 1, mode="clip")) > end
+                # end or farther than both run ends (one sample when k is 1)
+                end = distance_1d(qs, xg[lo])
+                if k > 1:
+                    np.maximum(end, distance_1d(qs, xg[hi - 1]), out=end)
+                decided = distance_1d(qs, xg.take(lo - 1, mode="clip")) > end
+                decided |= lo == group[:-1, None]
                 right = distance_1d(qs, xg.take(hi, mode="clip")) > end
-                flag = ~((left | (lo == group[:-1, None])) & (right | (hi == group[1:, None])))
-            estimates[p][blocks, order] = _run_means(y[a:b], lo, hi)
+                right |= hi == group[1:, None]
+                decided &= right
+                flag = ~decided
+            # a run of one sample is its y: its sum, over a count of 1
+            means = y[a:b][lo] if not naive and k == 1 else _run_means(y[a:b], lo, hi)
+            estimates[p][blocks, order] = means
             if flag.any():
                 flags[p][blocks, order] = flag
     return estimates, flags
@@ -387,14 +404,20 @@ def _sorted_1d(
 def _counts(v: np.ndarray, offsets: np.ndarray, thr: np.ndarray, side: str) -> np.ndarray:
     """Per block, its start plus its samples below (``side="right"``: at or
     below) each sorted threshold; block j is ``v[offsets[j]:offsets[j + 1]]``
-    and ``offsets[0]`` is 0. One block (every CV fold) is searched per
-    threshold; several share one pass that places each sample among them.
+    and ``offsets[0]`` is 0. Blocks that hold more samples, on average, than
+    there are thresholds are searched one by one, per threshold;
+    smaller ones share one pass that places each sample among the
+    thresholds. At N=10,000 and 1,000 queries the search per block took
+    0.79-0.93 times the shared pass's time at m=2 and m=5, for both
+    families.
     """
-    if len(offsets) == 2:
-        return np.searchsorted(v, thr, side)[None]
+    m, t = len(offsets) - 1, len(thr)
+    if offsets[-1] > m * t:
+        return np.stack(
+            [np.searchsorted(v[a:b], thr, side) + a for a, b in itertools.pairwise(offsets)]
+        )
     # each sample counts from the first threshold it is below (at or below);
     # every sample is placed, so one running sum goes on from each block's start
-    m, t = len(offsets) - 1, len(thr)
     block = np.repeat(np.arange(m), np.diff(offsets))
     place = np.searchsorted(thr, v, "right" if side == "left" else "left")
     counts = np.bincount(block * (t + 1) + place, minlength=m * (t + 1))

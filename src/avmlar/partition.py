@@ -74,7 +74,7 @@ class PartitionedDataset:
 
     ``data`` holds the parent rows in block order and ``rows`` their row
     numbers in the parent; block ``j`` is rows ``offsets[j]:offsets[j+1]``
-    of both. Build one with ``from_indices``.
+    of both. Build one with ``from_indices`` (or ``random_partition``).
     """
 
     data: Dataset
@@ -89,12 +89,20 @@ class PartitionedDataset:
 
         No block may be empty, and the rows must be distinct rows of the parent.
         """
-        if not indices or min(len(idx) for idx in indices) < 1:
+        sizes = np.fromiter(map(len, indices), np.intp, len(indices))
+        rows = np.concatenate([np.empty(0, np.intp), *indices])
+        return cls._from_rows(dataset, rows, np.concatenate(([0], np.cumsum(sizes))))
+
+    @classmethod
+    def _from_rows(
+        cls, dataset: Dataset, rows: np.ndarray, offsets: np.ndarray
+    ) -> PartitionedDataset:
+        """Block ``j`` is rows ``rows[offsets[j]:offsets[j+1]]`` of ``dataset``,
+        checked in O(N) as ``from_indices`` promises."""
+        if len(offsets) < 2 or np.diff(offsets).min() < 1:
             raise ValueError("every block must hold at least one row")
-        rows = np.concatenate(indices)
         if rows.min() < 0 or rows.max() >= dataset.n or np.bincount(rows).max() > 1:
             raise ValueError(f"block rows must be distinct rows in [0, {dataset.n})")
-        offsets = np.cumsum([0] + [len(idx) for idx in indices])
         return cls(dataset.subset(rows), rows, offsets)
 
     @property
@@ -109,11 +117,26 @@ class PartitionedDataset:
     def x_order(self) -> np.ndarray:
         """Rows of ``data`` that sort each block by x at d=1, ties in block order.
 
-        One stable sort keyed by (block, x); block ``j`` keeps rows
-        ``offsets[j]:offsets[j+1]`` of the result.
+        The order ``np.lexsort((x, block))`` gives, from cheaper sorts: one
+        ``argsort`` of x, positions put back in ascending order within each
+        run of equal x (only where x repeats), and one stable pass by block
+        on the smallest unsigned key, which numpy radix-sorts up to 2**16
+        blocks. Block ``j`` keeps rows ``offsets[j]:offsets[j+1]`` of the
+        result.
         """
-        block = np.repeat(np.arange(self.m), np.diff(self.offsets))
-        return np.lexsort((self.data.x[:, 0], block))
+        x, n, m = self.data.x[:, 0], self.data.n, self.m
+        order = np.argsort(x)
+        xs = x[order]
+        tie = xs[1:] == xs[:-1]
+        if tie.any():
+            # keys (run of equal x, row): rows ascend within each run
+            run = np.concatenate(([0], np.cumsum(~tie)))
+            order = np.sort(run * n + order) % n
+        if m > 1:
+            dtype = np.min_scalar_type(m - 1)
+            block = np.repeat(np.arange(m, dtype=dtype), np.diff(self.offsets))
+            order = order[np.argsort(block[order], kind="stable")]
+        return order
 
     @functools.cached_property
     def kdtree(self) -> cKDTree:
@@ -153,15 +176,18 @@ class PartitionedDataset:
 def random_partition(dataset: Dataset, m: int, seed: int) -> PartitionedDataset:
     """Split ``dataset`` into ``m`` random blocks of near-equal size.
 
-    A seeded uniform permutation (PCG64) of the sample indices is sliced
-    contiguously; when ``m`` does not divide ``N`` the first ``N mod m``
-    blocks receive one extra sample. The same (dataset, m, seed) always
-    produces the identical partition.
+    A seeded uniform permutation (PCG64) of the sample indices is cut at
+    ``offsets[j] = j * (N // m) + min(j, N mod m)``, so when ``m`` does not
+    divide ``N`` the first ``N mod m`` blocks receive one extra sample. The
+    same (dataset, m, seed) always produces the identical partition.
     """
     if not 1 <= m <= dataset.n or m != int(m):
         raise ValueError(f"m must be an integer in [1, {dataset.n}], got {m}")
-    perm = np.random.default_rng(seed).permutation(dataset.n)
-    return PartitionedDataset.from_indices(dataset, np.array_split(perm, int(m)))
+    m = int(m)
+    q, extra = divmod(dataset.n, m)
+    ends = np.arange(m + 1)
+    rows = np.random.default_rng(seed).permutation(dataset.n)
+    return PartitionedDataset._from_rows(dataset, rows, ends * q + np.minimum(ends, extra))
 
 
 def default_candidates(dataset: Dataset) -> np.ndarray:

@@ -902,26 +902,31 @@ def test_knn_falls_back_only_where_the_kth_nearest_ties(monkeypatch):
 
 
 def test_sorted_runs_do_not_depend_on_the_group_size(monkeypatch):
-    # by default the 3 blocks form one group, whose run ends are counted in one
-    # pass over its samples; at 16 pairs per group each block is its own group,
-    # searched per query. A run's ends and sum depend only on its block, so
-    # every output is bitwise the same. On the 1/1024 lattice h = 20/1024 puts
+    # by default the 3 blocks form one group; at 16 pairs per group each block
+    # is its own group. Blocks of about 133 samples are searched one by one at
+    # 40 queries and placed in one pass over their samples at 400, of which the
+    # 40 are the first. A run's ends and sum depend only on its block, so every
+    # output is bitwise the same. On the 1/1024 lattice h = 20/1024 puts
     # samples exactly on window edges, and h = 2**-12 leaves most windows empty
     rng = np.random.default_rng(20)
     x = rng.integers(0, 1024, (400, 1)) / 1024
     part = random_partition(Dataset(x, rng.normal(size=400)), 3, 0)
-    queries = rng.integers(0, 1024, (40, 1)) / 1024
+    queries = rng.integers(0, 1024, (400, 1)) / 1024
     cases = [
         (EstimatorFamily.NWK_NAIVE, [2**-12, 20 / 1024, 0.3]),
         (EstimatorFamily.KNN, [1, 7, 60, part.min_block_size]),
     ]
     one_group = [block_estimates(part, family, params, queries) for family, params in cases]
     assert one_group[0][2][0].mean() > 0.5  # degenerate
-    monkeypatch.setattr(avm, "_CHUNK_PAIRS", 16)
-    for (family, params), expected in zip(cases, one_group):
-        got = block_estimates(part, family, params, queries)
-        for a, b in zip(got, expected):
-            assert a.tobytes() == b.tobytes(), family
+    for pairs in (None, 16):
+        if pairs:
+            monkeypatch.setattr(avm, "_CHUNK_PAIRS", pairs)
+            monkeypatch.setattr(avm, "_GROUP_PAIRS", pairs)
+        for t in (40, 400):
+            for (family, params), expected in zip(cases, one_group):
+                got = block_estimates(part, family, params, queries[:t])
+                for a, b in zip(got, expected):
+                    assert a.tobytes() == b[..., :t].tobytes(), (family, pairs, t)
 
 
 def test_knn_fallback_memory_is_bounded(monkeypatch):

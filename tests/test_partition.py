@@ -92,8 +92,9 @@ def test_from_indices_rejects_an_empty_block():
     ds = uniform_dataset(4)
     with pytest.raises(ValueError, match="at least one row"):
         PartitionedDataset.from_indices(ds, [np.array([0, 1]), np.array([], dtype=int)])
-    with pytest.raises(ValueError):
-        PartitionedDataset.from_indices(ds, [])
+    for bad in ([], [np.array([], dtype=int)]):
+        with pytest.raises(ValueError, match="at least one row"):
+            PartitionedDataset.from_indices(ds, bad)
     # blocks are disjoint rows of the parent: no repeats, nothing out of range
     for bad in ([[0, 0], [1]], [[0, 1], [1]], [[0], [-1]], [[0], [4]]):
         with pytest.raises(ValueError, match="distinct rows"):
@@ -345,6 +346,59 @@ def test_x_order_sorts_each_block_stably():
     ]
     assert np.array_equal(part.x_order, np.concatenate(expected))
     assert part.x_order is part.x_order  # sorted once per partition
+
+
+def lexsort_order(part):
+    block = np.repeat(np.arange(part.m), np.diff(part.offsets))
+    return np.lexsort((part.data.x[:, 0], block))
+
+
+def test_x_order_is_the_lexsort_order():
+    # x_order comes from an unstable argsort, a tie fix and a block pass; it
+    # must equal one stable sort by (block, x), ties in stored order
+    rng = np.random.default_rng(12)
+    for case in range(60):
+        n = int(rng.integers(1, 400))
+        if case % 2:  # tie-heavy: a few distinct values, -0.0 and 0.0 among them
+            x = rng.integers(-3, 4, n) / 2 * rng.choice([1.0, 1.0, -1.0], n)
+        else:
+            x = rng.random(n)
+        part = random_partition(Dataset(x[:, None], np.zeros(n)), int(rng.integers(1, n + 1)), case)
+        assert np.array_equal(part.x_order, lexsort_order(part)), case
+    for n, m in ((500, 1), (500, 500), (300, 256), (300, 257)):
+        x = rng.integers(0, 20, n) / 20
+        part = random_partition(Dataset(x[:, None], np.zeros(n)), m, 1)
+        assert np.array_equal(part.x_order, lexsort_order(part)), (n, m)
+    # uneven blocks, and one value everywhere
+    ds = Dataset(rng.integers(0, 6, (50, 1)) / 5, np.zeros(50))
+    perm = rng.permutation(50)
+    for x in (ds.x, np.full((50, 1), 0.5)):
+        blocks = np.split(perm, [1, 3, 30, 31, 45])
+        part = PartitionedDataset.from_indices(Dataset(x, np.zeros(50)), blocks)
+        assert np.array_equal(part.x_order, lexsort_order(part))
+    # past 2**16 blocks the block key no longer fits 16 bits
+    n = 140_000
+    part = random_partition(Dataset(rng.integers(0, 1000, (n, 1)) / 1000, np.zeros(n)), 66_000, 3)
+    assert np.array_equal(part.x_order, lexsort_order(part))
+
+
+def test_random_partition_is_the_array_split_of_a_permutation():
+    # rows, offsets and data bitwise as splitting the seeded permutation
+    # with np.array_split and joining the pieces
+    for n, m in ((12, 4), (12, 5), (10, 3), (7, 1), (7, 7), (1, 1), (10_000, 350)):
+        ds = uniform_dataset(n, d=2, seed=n)
+        perm = np.random.default_rng(m).permutation(n)
+        pieces = np.array_split(perm, m)
+        rows = np.concatenate(pieces)
+        offsets = np.cumsum([0] + [len(p) for p in pieces])
+        part = random_partition(ds, m, m)
+        for got, want in ((part.rows, rows), (part.offsets, offsets)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, m)
+        assert part.data.x.tobytes() == ds.x[rows].tobytes()
+        assert part.data.y.tobytes() == ds.y[rows].tobytes()
+        again = PartitionedDataset.from_indices(ds, pieces)
+        assert again.rows.tobytes() == rows.tobytes()
+        assert again.offsets.tobytes() == offsets.tobytes()
 
 
 @pytest.mark.parametrize(
