@@ -22,9 +22,10 @@ for h and k.
 ``block_estimates`` takes a grid of h or k and returns (P, m, q) arrays,
 one row per parameter, reading the partition once for the grid. It picks
 its path by family and input dimension. At d=1 the naive kernel and k-NN
-take ``_sorted_1d`` over the partition's ``x_order`` (each block sorted
-once per partition) in block groups of about ``_GROUP_PAIRS`` (block,
-query) pairs, and build no query x sample matrix. At d>1 a naive h
+take ``_sorted_1d`` over the partition's ``x_order`` (x sorted once per
+partition, then each block by one stable pass), build no query x sample
+matrix, and write their outputs in block groups of about ``_GROUP_PAIRS``
+(block, query) pairs. At d>1 a naive h
 whose ball is small takes ``_naive_tree`` over the partition's ``kdtree``
 (built once per partition, and only then): ``_ball_share``, the share of
 the partition's ``probe_distances`` (a fixed sample of its pair distances)
@@ -44,11 +45,15 @@ pair's samples within h alone, the dense one each block's row of kernel
 weights, zeros included, so the two may differ in the last bit, never in
 which samples they count.
 
-At d=1 both estimates are the mean of a run [lo, hi) of the sorted block:
-``_counts`` places lo and hi by counting samples or keys below a threshold,
-per block or in one pass over a group, and ``_run_means`` sums each
-distinct run once with ``np.add.reduceat`` (a k-NN run of one sample is
-its y).
+At d=1 both estimates are the mean of a run [lo, hi) of the sorted block,
+lo and hi counts of samples or keys below a threshold. Along a block's
+sorted queries the run changes only where a sample starts to count, so a
+block of n samples has at most 2n + 1 distinct runs. ``_runs`` lists them:
+where blocks are small, from placing each sample once among the sorted
+queries, O(N + m) of them; where they are large, from a search per block.
+``_run_means`` sums each run once with ``np.add.reduceat`` (a k-NN run of
+one sample is its y), and each block group repeats the means by run length
+into sorted query order and takes them into query order.
 
 * Naive NWK: the run is the window ``distance_1d(q, x) <= h``, its edges
   the first samples inside it, found by bisecting the sorted samples with
@@ -286,9 +291,10 @@ def _naive_edges(xs: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, n
 
     * ``distance_1d`` rounds monotonically, so the samples that fail the test
       are a prefix of ``xs``, and those below the first passing sample are
-      exactly the failing ones: ``_counts`` gets the lo and hi of the exact edge;
+      exactly the failing ones: ``_runs`` gets the lo and hi of the exact edge;
     * a sample that passes at ``q`` passes at every smaller ``q``, so the edges
-      are nondecreasing in ``q``, as the pooled ``_counts`` requires;
+      are nondecreasing in ``q``, as ``_runs`` requires to place the samples
+      among them;
     * the test is the dense path's, so subnormal or overflowing squares need
       no special case.
     """
@@ -309,12 +315,13 @@ def _naive_edges(xs: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, n
 # O(pairs) as N, m and k grow, and a dense chunk stays cache-sized
 _CHUNK_PAIRS = 2**16
 
-# (block, query) pairs per block group of ``_sorted_1d``: a group's float
-# temporaries take 256 KiB each, so the few alive at once stay about L2-sized
-# (2 MiB a core). At N=10,000 and 1,000 queries, 2**15 took 0.88-0.92 times
-# the time of 2**16 for both families at m=350 and the naive kernel at m=50,
-# and 0.97-1.03 times at m=5 and for k-NN at m=50 (two runs); 2**13 and 2**14
-# were no faster anywhere and slower at m=350
+# (block, query) pairs per block group of ``_sorted_1d``: a group's expanded
+# float arrays take 256 KiB each, so the few alive at once stay about L2-sized
+# (2 MiB a core). At N=10,000 and 1,000 queries (two runs of interleaved
+# calls), 2**13 took 1.13-1.37 times the time of 2**15 at m=350 and m=2,000,
+# 2**14 1.01-1.12 and 2**16 0.96-1.06, for both families; the naive kernel
+# at m=5 and m=50 moved by at most 3 %, and k-NN at m=50 took 0.89-0.94
+# times as long at 2**13 and 2**14
 _GROUP_PAIRS = 2**15
 
 # a naive h at d>1 takes the k-d tree while ``_ball_share``, the measured
@@ -344,22 +351,33 @@ def _sorted_1d(
     """Run means and flags at 1-d queries ``q``, shape (len(params), m, len(q)).
 
     Flags mark the degenerate pairs (naive) or the undecided ones (k-NN).
-    Each h or k walks the blocks in groups of about ``_GROUP_PAIRS`` pairs.
+    Each h or k lists the partition's runs (``_runs``) and sums each once;
+    then each block group of about ``_GROUP_PAIRS`` (block, query) pairs
+    repeats the run means by run length into sorted query order and takes
+    them into query order.
     """
     m, t, naive = partition.m, len(q), family is EstimatorFamily.NWK_NAIVE
+    estimates = np.empty((len(params), m, t))
+    flags = np.empty(estimates.shape, dtype=bool)
+    if not t:
+        return estimates, flags
     order = np.argsort(q, kind="stable")
     qs = q[order]
-    offsets, by_x = partition.offsets, partition.x_order
-    x, y = partition.data.x[by_x, 0], partition.data.y[by_x]
-    estimates = np.empty((len(params), m, t))
-    flags = np.zeros(estimates.shape, dtype=bool)
-    step = max(1, _GROUP_PAIRS // max(1, t))
-    if naive:
-        xs = np.sort(x)
+    inv = np.empty_like(order)  # each query's position in qs
+    inv[order] = np.arange(t)
+    offsets, ranks = partition.offsets, partition.x_rank
+    xs = partition.data.x[partition.x_sort, 0]
+    x, y = xs[ranks], partition.data.y[partition.x_order]
+    step = max(1, _GROUP_PAIRS // t)
+    groups = np.arange(0, m, step)
     for p, h_or_k in enumerate(params):
         if naive:
             # the edges are samples: lo counts those below lower, hi those at or below upper
             lower, upper = _naive_edges(xs, qs, h_or_k)
+            starts, (lo, hi) = _runs(
+                offsets, t, [(x, lower, "left"), (x, upper, "right")], (xs, ranks)
+            )
+            means, empty = _run_means(y, lo, hi), hi == lo
         else:
             # key[i] = x[i] + x[i + k], one double down where it rounded up
             # (TwoSum's error is negative), so ``key < 2q`` is exact; inf where
@@ -372,75 +390,110 @@ def _sorted_1d(
                 err = (near - (s - (s - near))) + (far - (s - near))
                 np.nextafter(s, -np.inf, out=s, where=err < 0)
             key[(offsets[1:, None] - k + np.arange(k)).ravel()] = np.inf
-        for j in range(0, m, step):
-            a, b, blocks = offsets[j], offsets[min(j + step, m)], slice(j, j + step)
-            group, xg = offsets[j : j + step + 1] - a, x[a:b]
+            starts, (lo,) = _runs(offsets, t, [(key, twice, "left")])
+            # a run of one sample is its y: its sum, over a count of 1
+            means = y[lo] if k == 1 else _run_means(y, lo, lo + k)
+        bounds = np.searchsorted(starts, np.append(groups, m) * t)
+        for j, r0, r1 in zip(groups, bounds, bounds[1:]):
+            # the group's runs, repeated by length into (block, sorted query) pairs
+            g, runs = min(step, m - j), slice(r0, r1)
+            size = np.diff(starts[runs], append=(j + g) * t)
+            sorted_means = np.repeat(means[runs], size).reshape(g, t)
+            np.take(sorted_means, inv, axis=1, out=estimates[p, j : j + g], mode="clip")
             if naive:
-                lo = _counts(xg, group, lower, "left")
-                hi = _counts(xg, group, upper, "right")
-                flag = hi == lo
+                flag = np.repeat(empty[runs], size).reshape(g, t)
             else:
-                lo = _counts(key[a:b], group, twice, "left")
-                hi = lo + k
+                run_lo = np.repeat(lo[runs], size).reshape(g, t)
+                run_hi = run_lo + k
                 # decided: the sample just outside each side is past the block
                 # end or farther than both run ends (one sample when k is 1)
-                end = distance_1d(qs, xg[lo])
+                end = distance_1d(qs, x[run_lo])
                 if k > 1:
-                    np.maximum(end, distance_1d(qs, xg[hi - 1]), out=end)
-                decided = distance_1d(qs, xg.take(lo - 1, mode="clip")) > end
-                decided |= lo == group[:-1, None]
-                right = distance_1d(qs, xg.take(hi, mode="clip")) > end
-                right |= hi == group[1:, None]
+                    np.maximum(end, distance_1d(qs, x[run_hi - 1]), out=end)
+                decided = distance_1d(qs, x.take(run_lo - 1, mode="clip")) > end
+                decided |= run_lo == offsets[j : j + g, None]
+                right = distance_1d(qs, x.take(run_hi, mode="clip")) > end
+                right |= run_hi == offsets[j + 1 : j + g + 1, None]
                 decided &= right
                 flag = ~decided
-            # a run of one sample is its y: its sum, over a count of 1
-            means = y[a:b][lo] if not naive and k == 1 else _run_means(y[a:b], lo, hi)
-            estimates[p][blocks, order] = means
-            if flag.any():
-                flags[p][blocks, order] = flag
+            np.take(flag, inv, axis=1, out=flags[p, j : j + g], mode="clip")
     return estimates, flags
 
 
-def _counts(v: np.ndarray, offsets: np.ndarray, thr: np.ndarray, side: str) -> np.ndarray:
-    """Per block, its start plus its samples below (``side="right"``: at or
-    below) each sorted threshold; block j is ``v[offsets[j]:offsets[j + 1]]``
-    and ``offsets[0]`` is 0. Blocks that hold more samples, on average, than
-    there are thresholds are searched one by one, per threshold;
-    smaller ones share one pass that places each sample among the
-    thresholds. At N=10,000 and 1,000 queries the search per block took
-    0.79-0.93 times the shared pass's time at m=2 and m=5, for both
-    families.
+def _runs(
+    offsets: np.ndarray,
+    t: int,
+    counts: Sequence[tuple[np.ndarray, np.ndarray, str]],
+    sort: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Runs of equal counts over the (block, threshold) pairs, block-major.
+
+    Each ``(v, thr, side)`` of ``counts`` counts, at block j and threshold
+    i, block j's start plus its samples ``v[offsets[j]:offsets[j + 1]]``
+    below (``side="right"``: at or below) ``thr[i]``. Each block's ``v``
+    and ``thr`` are sorted, so the counts rise along a block. Returns the
+    pair ``j * t + i`` at which each run begins, every block's first pair
+    among them, and each count there.
+
+    Blocks that hold more samples, on average, than half the thresholds
+    are searched one by one, per threshold. Smaller ones place each sample
+    once among the thresholds: it counts from the first one it is below
+    (at or below), its key is ``block * t + place``, and the keys rise in
+    block-major order. One merge of every count's keys, tagged, with the
+    blocks' first pairs gives the runs, which begin at the distinct keys,
+    and each count, the number of its keys up to a key's last copy: O(N +
+    m) values, however many pairs. With ``sort``, a sorted ``vs`` and the
+    ``ranks`` with ``v = vs[ranks]`` (the same for every count), the places
+    come from where the thresholds fall among ``vs``, without a search per
+    sample: naive ``block_estimates`` at m=50 to 2,000 took 0.80-0.88 times
+    the time of a search per sample.
+
+    At N=10,000 and 1,000 queries (two runs) the search per block took
+    0.50-0.79 times the placement's time at m <= 5 and 0.78-0.99 at m=10
+    to 20, and 1.03-1.17 times at m=30 and 1.28-1.83 at m=100; at 200
+    queries, 0.91-0.97 times at 200 samples per block and 1.04-1.16 at 100.
     """
-    m, t = len(offsets) - 1, len(thr)
-    if offsets[-1] > m * t:
-        return np.stack(
-            [np.searchsorted(v[a:b], thr, side) + a for a, b in itertools.pairwise(offsets)]
-        )
-    # each sample counts from the first threshold it is below (at or below);
-    # every sample is placed, so one running sum goes on from each block's start
-    block = np.repeat(np.arange(m), np.diff(offsets))
-    place = np.searchsorted(thr, v, "right" if side == "left" else "left")
-    counts = np.bincount(block * (t + 1) + place, minlength=m * (t + 1))
-    return counts.cumsum().reshape(m, t + 1)[:, :t]
+    m = len(offsets) - 1
+    if 2 * offsets[-1] > m * t:
+        pairs = [
+            np.concatenate(
+                [np.searchsorted(v[a:b], thr, side) + a for a, b in itertools.pairwise(offsets)]
+            )
+            for v, thr, side in counts
+        ]
+        new = np.zeros(m * t, dtype=bool)
+        new[::t] = True
+        for c in pairs:
+            new[1:] |= c[1:] != c[:-1]
+        starts = np.flatnonzero(new)
+        return starts, [c[starts] for c in pairs]
+    first, tags = np.arange(0, m * t, t), len(counts) + 1
+    block = np.repeat(first, np.diff(offsets))
+    keys = [first * tags]
+    for tag, (v, thr, side) in enumerate(counts, 1):
+        if sort is None:
+            place = np.searchsorted(thr, v, "right" if side == "left" else "left")
+        else:
+            # vs[r] counts from the first threshold whose position among vs is r or less
+            vs, ranks = sort
+            at = np.searchsorted(vs, thr, side)
+            place = np.bincount(at, minlength=len(vs) + 1).cumsum()[ranks]
+        keys.append((block + place) * tags + tag)
+    # a stable sort merges the sorted runs; a key m * t counts for no pair
+    key, tag = np.divmod(np.sort(np.concatenate(keys), kind="stable"), tags)
+    last = np.flatnonzero(np.diff(key, append=-1))
+    last = last[key[last] < m * t]
+    return key[last], [np.cumsum(tag == c)[last] for c in range(1, tags)]
 
 
 def _run_means(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mean of ``y[lo:hi]`` per entry of ``lo`` and ``hi``, 0 where the run is empty.
-
-    ``lo`` and ``hi`` rise in (block, query) order, so equal runs are
-    adjacent: each distinct run is summed once over the interleaved edges
-    (lo, hi) and repeated back; a trailing 0 makes a run end at ``len(y)`` a
-    valid ``reduceat`` index.
-    """
-    lo, hi, shape = lo.ravel(), hi.ravel(), lo.shape
-    new = np.ones(lo.size, dtype=bool)
-    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    first = np.flatnonzero(new)
-    lo, hi = lo[first], hi[first]
+    """Mean of ``y[lo:hi]`` per entry of ``lo`` and ``hi``, 0 where the run
+    is empty, each run summed once by ``np.add.reduceat`` over the
+    interleaved edges (lo, hi); a trailing 0 makes a run end at ``len(y)``
+    a valid index."""
     sums = np.add.reduceat(np.append(y, 0.0), np.stack([lo, hi], axis=1).ravel())[0::2]
     size = hi - lo
-    means = np.divide(sums, size, out=np.zeros_like(sums), where=size > 0)
-    return np.repeat(means, np.diff(first, append=new.size)).reshape(shape)
+    return np.divide(sums, size, out=np.zeros_like(sums), where=size > 0)
 
 
 def _knn_dense(
@@ -549,9 +602,10 @@ def _naive_tree(
         for p, h in enumerate(params):
             inside = dist <= h
             k = key[inside]
-            lo = np.flatnonzero(np.diff(k, prepend=-1))
+            edges = np.flatnonzero(np.diff(k, prepend=-1, append=-1))
+            lo, hi = edges[:-1], edges[1:]
             q, block = np.divmod(k[lo], m)
-            estimates[p, block, q] = _run_means(y[idx[inside]], lo, np.append(lo[1:], len(k)))
+            estimates[p, block, q] = _run_means(y[idx[inside]], lo, hi)
             degenerate[p, block, q] = False
     return estimates, degenerate
 

@@ -114,17 +114,15 @@ class PartitionedDataset:
         return int(np.diff(self.offsets).min())
 
     @functools.cached_property
-    def x_order(self) -> np.ndarray:
-        """Rows of ``data`` that sort each block by x at d=1, ties in block order.
+    def x_sort(self) -> np.ndarray:
+        """Rows of ``data`` that sort all of x at d=1, ties in row order.
 
-        The order ``np.lexsort((x, block))`` gives, from cheaper sorts: one
-        ``argsort`` of x, positions put back in ascending order within each
-        run of equal x (only where x repeats), and one stable pass by block
-        on the smallest unsigned key, which numpy radix-sorts up to 2**16
-        blocks. Block ``j`` keeps rows ``offsets[j]:offsets[j+1]`` of the
-        result.
+        The order ``np.argsort(x, kind="stable")`` gives, from one default
+        ``argsort`` of x and positions put back in ascending order within
+        each run of equal x (only where x repeats). ``x_order`` comes from
+        it, so x is sorted once per partition.
         """
-        x, n, m = self.data.x[:, 0], self.data.n, self.m
+        x, n = self.data.x[:, 0], self.data.n
         order = np.argsort(x)
         xs = x[order]
         tie = xs[1:] == xs[:-1]
@@ -132,11 +130,29 @@ class PartitionedDataset:
             # keys (run of equal x, row): rows ascend within each run
             run = np.concatenate(([0], np.cumsum(~tie)))
             order = np.sort(run * n + order) % n
-        if m > 1:
-            dtype = np.min_scalar_type(m - 1)
-            block = np.repeat(np.arange(m, dtype=dtype), np.diff(self.offsets))
-            order = order[np.argsort(block[order], kind="stable")]
         return order
+
+    @functools.cached_property
+    def x_rank(self) -> np.ndarray:
+        """Each position of ``x_order`` as a position of ``x_sort``:
+        ``x_order`` is ``x_sort[x_rank]``.
+
+        One stable pass over ``x_sort`` by block, on the smallest unsigned
+        key, which numpy radix-sorts up to 2**16 blocks.
+        """
+        if self.m == 1:
+            return np.arange(self.data.n)
+        dtype = np.min_scalar_type(self.m - 1)
+        block = np.repeat(np.arange(self.m, dtype=dtype), np.diff(self.offsets))
+        return np.argsort(block[self.x_sort], kind="stable")
+
+    @functools.cached_property
+    def x_order(self) -> np.ndarray:
+        """Rows of ``data`` that sort each block by x at d=1, ties in block order:
+        the order ``np.lexsort((x, block))`` gives, as ``x_sort[x_rank]``.
+        Block ``j`` keeps rows ``offsets[j]:offsets[j+1]`` of the result.
+        """
+        return self.x_sort[self.x_rank]
 
     @functools.cached_property
     def kdtree(self) -> cKDTree:

@@ -29,6 +29,7 @@ from avmlar import (
 from avmlar import avm
 from avmlar import partition as partition_module
 from avmlar.avm import block_estimates, knn_mean
+from avmlar.core import distance_1d
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
 NAIVE_D2 = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=2)
@@ -902,31 +903,136 @@ def test_knn_falls_back_only_where_the_kth_nearest_ties(monkeypatch):
 
 
 def test_sorted_runs_do_not_depend_on_the_group_size(monkeypatch):
-    # by default the 3 blocks form one group; at 16 pairs per group each block
-    # is its own group. Blocks of about 133 samples are searched one by one at
-    # 40 queries and placed in one pass over their samples at 400, of which the
-    # 40 are the first. A run's ends and sum depend only on its block, so every
-    # output is bitwise the same. On the 1/1024 lattice h = 20/1024 puts
-    # samples exactly on window edges, and h = 2**-12 leaves most windows empty
+    # by default the 3 blocks form one group, the 40 blocks a few; at 16 pairs
+    # per group each block is its own group, and at 1,200 a group holds 3 to
+    # 30 blocks. Blocks of about 133 samples are searched one by one at 40
+    # queries and placed among the queries at 400, of which the 40 are the
+    # first; blocks of 10 are always placed. A run's ends and sum depend only
+    # on its block, so every output is bitwise the same. On the 1/1024
+    # lattice h = 20/1024 puts samples exactly on window edges, and h = 2**-12
+    # leaves most windows empty
     rng = np.random.default_rng(20)
     x = rng.integers(0, 1024, (400, 1)) / 1024
-    part = random_partition(Dataset(x, rng.normal(size=400)), 3, 0)
+    ds = Dataset(x, rng.normal(size=400))
     queries = rng.integers(0, 1024, (400, 1)) / 1024
-    cases = [
-        (EstimatorFamily.NWK_NAIVE, [2**-12, 20 / 1024, 0.3]),
-        (EstimatorFamily.KNN, [1, 7, 60, part.min_block_size]),
-    ]
-    one_group = [block_estimates(part, family, params, queries) for family, params in cases]
-    assert one_group[0][2][0].mean() > 0.5  # degenerate
-    for pairs in (None, 16):
-        if pairs:
-            monkeypatch.setattr(avm, "_CHUNK_PAIRS", pairs)
-            monkeypatch.setattr(avm, "_GROUP_PAIRS", pairs)
-        for t in (40, 400):
-            for (family, params), expected in zip(cases, one_group):
-                got = block_estimates(part, family, params, queries[:t])
-                for a, b in zip(got, expected):
-                    assert a.tobytes() == b[..., :t].tobytes(), (family, pairs, t)
+    for m in (3, 40):
+        part = random_partition(ds, m, 0)
+        cases = [
+            (EstimatorFamily.NWK_NAIVE, [2**-12, 20 / 1024, 0.3]),
+            (EstimatorFamily.KNN, [k for k in (1, 7, 60) if k < part.min_block_size]
+             + [part.min_block_size]),
+        ]
+        monkeypatch.undo()
+        one_group = [block_estimates(part, family, params, queries) for family, params in cases]
+        assert one_group[0][2][0].mean() > 0.5  # degenerate
+        for pairs in (None, 16, 1200):
+            if pairs:
+                monkeypatch.setattr(avm, "_CHUNK_PAIRS", pairs)
+                monkeypatch.setattr(avm, "_GROUP_PAIRS", pairs)
+            for t in (40, 400):
+                for (family, params), expected in zip(cases, one_group):
+                    got = block_estimates(part, family, params, queries[:t])
+                    for a, b in zip(got, expected):
+                        assert a.tobytes() == b[..., :t].tobytes(), (m, family, pairs, t)
+
+
+def sorted_reference(part, family, param, queries):
+    """d=1 ``block_estimates`` (estimates, degenerate) at one h or k, from each
+    (block, query) pair alone.
+
+    The pair's samples within h, or its k nearest, are found from all its
+    distances; they must be one run of the block sorted by ``x_order``, which
+    is summed by itself. k-NN pairs whose k-th and (k+1)-th nearest tie take
+    ``knn_mean`` over the block in stored order.
+    """
+    q, naive = queries[:, 0], family is EstimatorFamily.NWK_NAIVE
+    estimates = np.zeros((part.m, len(q)))
+    degenerate = np.zeros(estimates.shape, dtype=bool)
+    for j, (a, b) in enumerate(itertools.pairwise(part.offsets)):
+        rows = part.x_order[a:b]
+        dist = distance_1d(q[:, None], part.data.x[rows, 0])
+        if naive:
+            inside = dist <= param
+        else:
+            inside = np.zeros(dist.shape, dtype=bool)
+            nearest = np.argsort(dist, axis=1, kind="stable")[:, :param]
+            np.put_along_axis(inside, nearest, True, axis=1)
+            tied = np.zeros(len(q), dtype=bool)
+            if param < b - a:
+                near = np.sort(dist, axis=1)
+                tied = near[:, param - 1] == near[:, param]
+        size = inside.sum(axis=1)
+        lo = inside.argmax(axis=1)
+        hi = lo + size
+        span = np.arange(b - a)
+        run = (span >= lo[:, None]) & (span < hi[:, None])
+        decided = slice(None) if naive else ~tied
+        assert np.array_equal(inside[decided], run[decided])
+        edges = np.stack([lo, hi], axis=1).ravel()
+        sums = np.add.reduceat(np.append(part.data.y[rows], 0.0), edges)[0::2]
+        estimates[j] = np.divide(sums, size, out=np.zeros(len(q)), where=size > 0)
+        degenerate[j] = size == 0
+        if not naive and tied.any():
+            block = part.blocks[j]
+            estimates[j, tied] = knn_mean(cdist(queries[tied], block.x), block.y, [param])[0]
+    return estimates, degenerate
+
+
+@pytest.mark.parametrize("inputs", ["random", "lattice", "duplicated"])
+def test_sorted_runs_match_a_per_pair_reference(inputs):
+    # m from 1 to N and t from 1 to 400 put N above and below m * t, so the
+    # blocks are searched or placed. On the lattice h = 2**-7 leaves every
+    # window empty; h = 4 is wider than the domain, and k reaches the
+    # smallest block
+    rng = np.random.default_rng(23)
+    n = 120
+    x = {
+        "random": rng.random(n),
+        "lattice": rng.integers(0, 16, n) / 16,  # about 8 samples at each point
+        "duplicated": rng.permutation(np.repeat(rng.random(n // 4), 4)),
+    }[inputs]
+    ds = Dataset(x[:, None], rng.normal(size=n))
+    # odd multiples of 2**-6, beyond both ends too, at least 2**-6 from the
+    # lattice; the other half anywhere, or on the lattice and halfway, where
+    # the k-NN keys x[i] + x[i + k] meet 2q
+    queries = (2 * rng.integers(-8, 72, (400, 1)) + 1) / 64
+    queries[::2] = rng.uniform(-0.1, 1.1, (200, 1))
+    if inputs == "lattice":
+        queries[::2] = rng.integers(-2, 35, (200, 1)) / 32
+    for m in (1, 2, n // 3, n):
+        part = random_partition(ds, m, m)
+        cases = [
+            (EstimatorFamily.NWK_NAIVE, [2**-7, 0.05, 0.3, 4.0]),
+            (EstimatorFamily.KNN, sorted({1, min(2, part.min_block_size), part.min_block_size})),
+        ]
+        for t in (1, 2, 37, 400):
+            for family, params in cases:
+                estimates, active, degenerate = block_estimates(part, family, params, queries[:t])
+                for p, param in enumerate(params):
+                    want, empty = sorted_reference(part, family, param, queries[:t])
+                    assert estimates[p].tobytes() == want.tobytes(), (m, t, family, param)
+                    assert np.array_equal(degenerate[p], empty), (m, t, family, param)
+                    assert np.array_equal(active[p], ~empty), (m, t, family, param)
+                if inputs == "lattice" and family is EstimatorFamily.NWK_NAIVE:
+                    assert degenerate[0, :, 1::2].all()  # h = 2**-7
+
+
+@pytest.mark.parametrize("family, param", [(EstimatorFamily.NWK_NAIVE, 2e-4), (EstimatorFamily.KNN, 1)])
+def test_sorted_memory_is_bounded_with_many_small_blocks(family, param):
+    # 10,000 blocks of 2 samples and 400 queries: the outputs take 4e6 pairs,
+    # and one more int64 array over every (block, query) pair would take 32 MB
+    # beyond them; the runs take O(N + m) and each block group a few buffers
+    ds = uniform_dataset(20_000, seed=24)
+    part = random_partition(ds, 10_000, 0)
+    part.x_order
+    queries = np.random.default_rng(24).random((400, 1))
+    tracemalloc.start()
+    try:
+        got = block_estimates(part, family, [param], queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in got) < 16 * 2**20
 
 
 def test_knn_fallback_memory_is_bounded(monkeypatch):

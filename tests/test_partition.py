@@ -353,9 +353,20 @@ def lexsort_order(part):
     return np.lexsort((part.data.x[:, 0], block))
 
 
+def sorts_match(part):
+    """x_order is the lexsort order, x_sort one stable sort of x, and
+    x_rank places the first in the second."""
+    return (
+        np.array_equal(part.x_order, lexsort_order(part))
+        and np.array_equal(part.x_sort, np.argsort(part.data.x[:, 0], kind="stable"))
+        and np.array_equal(part.x_sort[part.x_rank], part.x_order)
+    )
+
+
 def test_x_order_is_the_lexsort_order():
-    # x_order comes from an unstable argsort, a tie fix and a block pass; it
-    # must equal one stable sort by (block, x), ties in stored order
+    # x_sort comes from an unstable argsort and a tie fix, x_order from it and
+    # a block pass; they must equal one stable sort by x and by (block, x),
+    # ties in stored order
     rng = np.random.default_rng(12)
     for case in range(60):
         n = int(rng.integers(1, 400))
@@ -364,22 +375,22 @@ def test_x_order_is_the_lexsort_order():
         else:
             x = rng.random(n)
         part = random_partition(Dataset(x[:, None], np.zeros(n)), int(rng.integers(1, n + 1)), case)
-        assert np.array_equal(part.x_order, lexsort_order(part)), case
+        assert sorts_match(part), case
     for n, m in ((500, 1), (500, 500), (300, 256), (300, 257)):
         x = rng.integers(0, 20, n) / 20
         part = random_partition(Dataset(x[:, None], np.zeros(n)), m, 1)
-        assert np.array_equal(part.x_order, lexsort_order(part)), (n, m)
+        assert sorts_match(part), (n, m)
     # uneven blocks, and one value everywhere
     ds = Dataset(rng.integers(0, 6, (50, 1)) / 5, np.zeros(50))
     perm = rng.permutation(50)
     for x in (ds.x, np.full((50, 1), 0.5)):
         blocks = np.split(perm, [1, 3, 30, 31, 45])
         part = PartitionedDataset.from_indices(Dataset(x, np.zeros(50)), blocks)
-        assert np.array_equal(part.x_order, lexsort_order(part))
+        assert sorts_match(part)
     # past 2**16 blocks the block key no longer fits 16 bits
     n = 140_000
     part = random_partition(Dataset(rng.integers(0, 1000, (n, 1)) / 1000, np.zeros(n)), 66_000, 3)
-    assert np.array_equal(part.x_order, lexsort_order(part))
+    assert sorts_match(part)
 
 
 def test_random_partition_is_the_array_split_of_a_permutation():
