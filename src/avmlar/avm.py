@@ -67,8 +67,11 @@ into sorted query order and takes them into query order.
   lo + k. The key can overflow and ``distance_1d`` rounds, so it only
   steers: a pair is decided when both samples just outside the run are
   farther, by ``distance_1d``, than the larger run end (distances fall then
-  rise along the block, so the run is the unique k nearest). Every other
-  pair goes to ``_knn_dense``, so ties are still ordered in one place.
+  rise along the block, so the run is the unique k nearest). Each run is
+  decided once where it can be: ``_knn_certified`` proves the test for all
+  its pairs from one exact margin at each of its end queries, and only the
+  pairs of the other runs take the per-pair test. Every undecided pair
+  goes to ``_knn_dense``, so ties are still ordered in one place.
 """
 
 from __future__ import annotations
@@ -354,7 +357,10 @@ def _sorted_1d(
     Each h or k lists the partition's runs (``_runs``) and sums each once;
     then each block group of about ``_GROUP_PAIRS`` (block, query) pairs
     repeats the run means by run length into sorted query order and takes
-    them into query order.
+    them into query order. k-NN decides the runs that ``_knn_certified``
+    certifies as a whole: a group of only such runs writes False flags, and
+    otherwise only the pairs of its other runs, gathered by repeating the
+    run mask, take the per-pair test.
     """
     m, t, naive = partition.m, len(q), family is EstimatorFamily.NWK_NAIVE
     estimates = np.empty((len(params), m, t))
@@ -393,6 +399,7 @@ def _sorted_1d(
             starts, (lo,) = _runs(offsets, t, [(key, twice, "left")])
             # a run of one sample is its y: its sum, over a count of 1
             means = y[lo] if k == 1 else _run_means(y, lo, lo + k)
+            settled = _knn_certified(x, qs, offsets, starts, lo, k)
         bounds = np.searchsorted(starts, np.append(groups, m) * t)
         for j, r0, r1 in zip(groups, bounds, bounds[1:]):
             # the group's runs, repeated by length into (block, sorted query) pairs
@@ -403,21 +410,98 @@ def _sorted_1d(
             if naive:
                 flag = np.repeat(empty[runs], size).reshape(g, t)
             else:
-                run_lo = np.repeat(lo[runs], size).reshape(g, t)
+                if settled[runs].all():
+                    flags[p, j : j + g] = False
+                    continue
+                open_runs = ~settled[runs]
+                # the pairs of the group's uncertified runs, each tested alone:
+                # decided when the sample just outside each side is past the
+                # block end or farther than both run ends (one sample when k is 1)
+                pair = np.flatnonzero(np.repeat(open_runs, size))
+                block, at = np.divmod(pair, t)
+                block += j
+                qp = qs[at]
+                run_lo = np.repeat(lo[runs][open_runs], size[open_runs])
                 run_hi = run_lo + k
-                # decided: the sample just outside each side is past the block
-                # end or farther than both run ends (one sample when k is 1)
-                end = distance_1d(qs, x[run_lo])
+                end = distance_1d(qp, x[run_lo])
                 if k > 1:
-                    np.maximum(end, distance_1d(qs, x[run_hi - 1]), out=end)
-                decided = distance_1d(qs, x.take(run_lo - 1, mode="clip")) > end
-                decided |= run_lo == offsets[j : j + g, None]
-                right = distance_1d(qs, x.take(run_hi, mode="clip")) > end
-                right |= run_hi == offsets[j + 1 : j + g + 1, None]
+                    np.maximum(end, distance_1d(qp, x[run_hi - 1]), out=end)
+                decided = distance_1d(qp, x.take(run_lo - 1, mode="clip")) > end
+                decided |= run_lo == offsets[block]
+                right = distance_1d(qp, x.take(run_hi, mode="clip")) > end
+                right |= run_hi == offsets[block + 1]
                 decided &= right
-                flag = ~decided
+                flag = np.zeros((g, t), dtype=bool)
+                flag.ravel()[pair] = ~decided
             np.take(flag, inv, axis=1, out=flags[p, j : j + g], mode="clip")
     return estimates, flags
+
+
+# a run's margin certifies it when above this share of the run's widest
+# distance (rounding needs about 10 * 2**-53 of it) and this floor, with the
+# widest distance at most this ceiling, so that every square of the per-pair
+# test is a normal double or below the margin's (``_knn_certified``)
+_MARGIN_SHARE = 2.0**-48
+_MARGIN_FLOOR = 2.0**-500
+_WIDTH_CEILING = 2.0**500
+
+
+def _knn_certified(
+    x: np.ndarray, qs: np.ndarray, offsets: np.ndarray, starts: np.ndarray, lo: np.ndarray, k: int
+) -> np.ndarray:
+    """Runs of k-NN ``_sorted_1d`` whose every pair its per-pair test decides.
+
+    ``starts`` and ``lo`` are the runs of ``_runs`` (their first pairs,
+    block * t + query, and lo) over the block-sorted samples ``x`` and the
+    sorted queries ``qs``. A run holds the block samples
+    ``u = x[lo] <= v = x[lo + k - 1]`` for the sorted queries
+    ``q0 <= q <= q1``; ``a = x[lo - 1]`` and ``b = x[lo + k]`` are the
+    samples just outside it, where its block has them. Exactly, the margins
+    of the per-pair test are, for q > a and q < b,
+
+    * ``M_L(q) = |q - a| - max(|q - u|, |q - v|) = min(u - a, 2q - a - v)``,
+      nondecreasing in q; and ``M_L(q0) > 0`` gives ``q0 > a``, as at
+      ``q <= a`` the right side is at most ``a - v <= 0``;
+    * ``M_R(q) = |b - q| - max(|q - u|, |q - v|) = min(b - v, b + u - 2q)``,
+      nonincreasing in q, and ``M_R(q1) > 0`` gives ``q1 < b``.
+
+    So positive margins at the run's end queries hold at every query of
+    the run. In floats, with eps = 2**-53, every distance of the run is at
+    most ``W = max(q1 - a, b - q0)`` (with u for a and v for b where a side
+    has no sample). The margins, computed as
+    ``min(u - a, (q0 - a) - (v - q0))`` and
+    ``min(b - v, (b - q1) - (q1 - u))``, are off by at most 4 eps W, and
+    ``distance_1d`` by at most 2.5 eps of each distance while its square is
+    a normal double, so a true margin above 6 eps W makes the outsider's
+    distance strictly the larger. A certified margin exceeds
+    ``_MARGIN_SHARE * W`` (32 eps W) and ``_MARGIN_FLOOR``, and W is at most
+    ``_WIDTH_CEILING``. Then the outsider's distance, at least the margin,
+    squares to a normal double, and every distance of the run to a finite
+    one; a run end whose square is subnormal is at most 2**-511 away, nearer
+    than the outsider. A side with no sample needs no margin.
+
+    The certificate reads only the samples and queries of the run, not how
+    the run was found, so a run from an overflowing key is certified only
+    where it is the unique k nearest. O(runs) memory.
+    """
+    # a run's pairs are block * t + query (the block is 0 where no run is
+    # past the first); its last query is one before the next run's first, or
+    # the block's last (index -1) where the next run opens a block
+    t = len(qs)
+    first = starts - starts // t * t if starts[-1] >= t else starts
+    q0, q1 = qs[first], qs[np.append(first[1:], 0) - 1]
+    # a side has no sample where the run meets its block's end: a and b are then u and v
+    edge = np.zeros(len(x) + 1, dtype=bool)
+    edge[offsets] = True
+    after = lo + k
+    no_left, no_right = edge[lo], edge[after]
+    a, u, v, b = x[lo - 1 + no_left], x[lo], x[after - 1], x[after - no_right]
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = np.maximum(q1 - a, b - q0)
+        bound = np.maximum(width * _MARGIN_SHARE, _MARGIN_FLOOR)
+        left = np.minimum(u - a, (q0 - a) - (v - q0)) > bound
+        right = np.minimum(b - v, (b - q1) - (q1 - u)) > bound
+        return (left | no_left) & (right | no_right) & (width <= _WIDTH_CEILING)
 
 
 def _runs(

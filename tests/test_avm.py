@@ -16,10 +16,14 @@ from avmlar import (
     EstimatorConfig,
     EstimatorFamily,
     PartitionedDataset,
+    TargetKind,
+    TargetModel,
     Variant,
     data_dependent_bandwidth,
     default_candidates,
     fit_avm,
+    generate_dataset,
+    generate_test_set,
     knn_k_rule,
     mesh_norm_report,
     nwk_bandwidth_rule,
@@ -1033,6 +1037,126 @@ def test_sorted_memory_is_bounded_with_many_small_blocks(family, param):
     finally:
         tracemalloc.stop()
     assert peak - sum(a.nbytes for a in got) < 16 * 2**20
+
+
+def certificate_spy(monkeypatch):
+    """Record (runs, certified runs, pairs in uncertified runs) per ``_knn_certified`` call."""
+    calls, certify = [], avm._knn_certified
+
+    def spy(x, qs, offsets, starts, lo, k):
+        ok = certify(x, qs, offsets, starts, lo, k)
+        size = np.diff(starts, append=(len(offsets) - 1) * len(qs))
+        calls.append((ok.size, ok.sum(), size[~ok].sum()))
+        return ok
+
+    monkeypatch.setattr(avm, "_knn_certified", spy)
+    return calls
+
+
+def test_sorted_knn_memory_is_bounded_with_many_uncertified_runs(monkeypatch):
+    # blocks of 2 samples on a 1/64 lattice, queries on it too: a query often
+    # sits where a block's two samples are equally near, or both samples are
+    # one point, and then its run fails the certificate. About a quarter of
+    # the 4e6 pairs take the per-pair test; gathered all at once, their
+    # indices, samples and distances would take 8 MB an array
+    rng = np.random.default_rng(24)
+    ds = Dataset(rng.integers(0, 65, (20_000, 1)) / 64, rng.normal(size=20_000))
+    part = random_partition(ds, 10_000, 0)
+    part.x_order
+    queries = rng.integers(0, 65, (400, 1)) / 64
+    calls = certificate_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = block_estimates(part, EstimatorFamily.KNN, [1], queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in got) < 16 * 2**20
+    [(_, _, uncertified_pairs)] = calls
+    assert uncertified_pairs > 0.2 * part.m * len(queries)
+
+
+def certify_none(x, qs, offsets, starts, lo, k):
+    return np.zeros(starts.size, dtype=bool)
+
+
+def certificate_inputs(name, rng):
+    """(x, queries) of the certificate-on/off test: its named input family."""
+    if name in ("random", "lattice", "duplicated"):
+        x = {
+            "random": rng.random(120),
+            "lattice": rng.integers(0, 16, 120) / 16,
+            "duplicated": rng.permutation(np.repeat(rng.random(30), 4)),
+        }[name]
+        return x, rng.uniform(-0.1, 1.1, 40)
+    if name == "rounding":  # distinct inputs whose distances to 1 and -1 all round to 1
+        x = rng.permutation([0.0, 1e-17, 2e-17, 3e-17] * 3 + [2.0] * 4)
+        return x, np.array([1.0, -1.0, 1.5, 0.5])
+    if name == "overflow":  # the set of test_knn_falls_back_wherever_the_run_key_overflows
+        x = rng.choice([-1.7e308, -1.6e308, -1e308, 1e308, 1.6e308, 1.7e308], 30)
+        return x, np.array([-1.75e308, -1.65e308, -1.2e308, 0.0, 1.2e308, 1.65e308])
+    # the inputs of test_sorted_paths_match_oracle_outside_the_normal_range
+    scale, spread = {"tiny": (1e-160, 1.0), "huge": (1e160, 1e-5)}[name]
+    x = scale * (0.5 + spread * rng.uniform(-0.5, 0.5, 60))
+    x[-6:] = x[:6]
+    return x, scale * (0.5 + spread * rng.uniform(-0.7, 0.7, 50))
+
+
+@pytest.mark.parametrize(
+    "inputs", ["random", "lattice", "duplicated", "rounding", "tiny", "huge", "overflow"]
+)
+def test_knn_certificate_changes_no_output(monkeypatch, inputs):
+    # the certificate only skips per-pair tests that would decide their
+    # pairs: with it certifying no run, every output and flag is bitwise the
+    # same. Queries sit at the midpoints (x[i] + x[i + k]) / 2 of each
+    # sorted block, where the k-th and (k+1)-th nearest may tie, and 1 to 4
+    # doubles either side of them
+    rng = np.random.default_rng(25)
+    x, base = certificate_inputs(inputs, rng)
+    ds = Dataset(x[:, None], rng.integers(-1000, 1000, x.size) / 100.0)
+    certified = 0
+    for m in (1, 3, x.size // 3, x.size):
+        part = random_partition(ds, m, m)
+        sorted_x = part.data.x[part.x_order, 0]
+        for k in sorted({1, min(2, part.min_block_size), part.min_block_size}):
+            blocks = np.split(sorted_x, part.offsets[1:-1])
+            mids = np.concatenate([b[:-k] / 2 + b[k:] / 2 for b in blocks])
+            mids = rng.permutation(mids)[:30]
+            down, up, near = mids, mids, [base, mids]
+            for _ in range(4):
+                down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+                near += [down, up]
+            q = np.concatenate(near)
+            monkeypatch.undo()
+            calls = certificate_spy(monkeypatch)
+            on = block_estimates(part, EstimatorFamily.KNN, [k], q[:, None])
+            on_flags = avm._sorted_1d(part, EstimatorFamily.KNN, [k], q)[1]
+            certified += sum(c[1] for c in calls)
+            monkeypatch.setattr(avm, "_knn_certified", certify_none)
+            off = block_estimates(part, EstimatorFamily.KNN, [k], q[:, None])
+            off_flags = avm._sorted_1d(part, EstimatorFamily.KNN, [k], q)[1]
+            for a, b in zip((*on, on_flags), (*off, off_flags)):
+                assert a.tobytes() == b.tobytes(), (m, k)
+    # at 1e-160 only runs that fill their block are certified, and past the
+    # width ceiling (1e160, 1.7e308) none
+    assert certified > 0 or inputs in ("huge", "overflow")
+
+
+def test_knn_needs_no_per_pair_test_on_continuous_data(monkeypatch):
+    # g1 data at the sweep's size and its last cell (m=350, k=1): every run
+    # has a margin, so no (block, query) pair takes distance_1d
+    model = TargetModel(TargetKind.G1)
+    data, test = generate_dataset(model, 10_000, 0), generate_test_set(model, 1_000, 1)
+    part = random_partition(data, 350, 0)
+    sizes = []
+    monkeypatch.setattr(
+        avm, "distance_1d", lambda q, x: sizes.append(np.broadcast(q, x).size) or distance_1d(q, x)
+    )
+    calls = certificate_spy(monkeypatch)
+    block_estimates(part, EstimatorFamily.KNN, [1], test.x)
+    assert sum(sizes) == 0
+    [(runs, certified, _)] = calls
+    assert certified == runs
 
 
 def test_knn_fallback_memory_is_bounded(monkeypatch):
