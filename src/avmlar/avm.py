@@ -35,13 +35,27 @@ depends on the others in its batch, and it measures the data's own
 occupancy, clustered or not. The tree's candidates come in batches of
 fewer than ``_CHUNK_PAIRS``, or one query's ball (``_ball_candidates``).
 Every other case (Gaussian, k-NN and wide naive balls at d>1, Gaussian at
-d=1) is dense, in query chunks of about ``_CHUNK_PAIRS`` distances: NWK
-takes one ``cdist`` per chunk over the block-major samples and sums each
-block's columns with ``np.add.reduceat``; k-NN takes one ``cdist`` per
-block and chunk for ``knn_mean``. Every path measures the distance
-``cdist`` computes; at d=1 that is ``distance_1d``, and on the tree a
-sequential sum of squared gaps. The tree path sums each (query, block)
-pair's samples within h alone, the dense one each block's row of kernel
+d=1) is dense, in query chunks of about ``_CHUNK_PAIRS`` distances. NWK
+(``_nwk_dense``) takes one squared ``cdist`` per chunk into a buffer of
+the call, and each h its weights into a second one: the Gaussian
+``gaussian_weights``, ``exp(s * (-1 / h**2))``, and the naive kernel's
+``s <= _square_bound(h)``. It sums each block's columns of the block-major
+samples with ``np.add.reduceat``, or, where blocks are many and small
+(``_takes_grid``), over the position axis of the partition's
+``position_grid`` (built once per partition, and only then). k-NN takes
+one ``cdist`` per block and chunk for ``knn_mean``. Every path
+decides which samples count and which blocks are active by the distance
+``cdist`` computes: at d=1 that is ``distance_1d``, on the tree a
+sequential sum of squared gaps, and on the dense path the bound on its
+square, which holds exactly where the root is within h. The Gaussian
+weights take the square itself, a few ulps of ``(dist / h)**2`` from the
+distance formula ``kernel_profile(GAUSSIAN, dist / h)``; a pair whose
+weights sum below ``GAUSSIAN_EXACT_BELOW``, where they may be subnormal,
+is summed by the distance formula, bitwise, unless its nearest square is
+past ``gaussian_zero_beyond(h)``, where every weight is exactly 0 by
+either formula (``kernels.gaussian_block_weights`` is the rule for one
+query and one block). The tree path sums each (query, block) pair's
+samples within h alone, the dense one each block's row of kernel
 weights, zeros included, so the two may differ in the last bit, never in
 which samples they count.
 
@@ -77,6 +91,7 @@ into sorted query order and takes them into query order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -85,7 +100,15 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import Dataset, EstimatorConfig, EstimatorFamily, cdist_norms, distance_1d
-from .kernels import KernelKind, kernel_profile
+# kernel_profile is unused here but traced on this module by perfbench/spans.py
+from .kernels import (
+    GAUSSIAN_EXACT_BELOW,
+    KernelKind,
+    exact_gaussian_weights,
+    gaussian_weights,
+    gaussian_zero_beyond,
+    kernel_profile,  # noqa: F401
+)
 from .partition import (
     PartitionedDataset,
     default_candidates,
@@ -343,6 +366,18 @@ _TREE_SLACK = 1e-9
 # ``cKDTree`` raises once a squared distance it takes overflows; with h and
 # every side of the samples' box below this span, none within h of the box can
 _TREE_MAX_SPAN = 1e150
+# the dense NWK loop sums over the partition's ``position_grid`` where there
+# are more blocks than the largest holds samples, and its padding averages at
+# most this many columns a block; else each block by ``np.add.reduceat``. At
+# N=10,000 and 50 or 1,000 queries on random partitions (both kernels at d=5,
+# Gaussian at d=1) the grid took 1.14-1.88 times the time of ``reduceat`` at
+# m=20 to 50 (500 to 200 samples a block), 1.01-1.12 at m=100 (100 samples),
+# 0.88-0.94 at m=200 and 0.63-0.80 at m=1024, and 0.53-0.76 at m=4,000 and
+# 6,667 (0.5 padding columns a block). With m=1,000 uneven blocks (20 or 12
+# samples and one sample, d=5) it took 0.74-0.83 at 1.1 padding columns a
+# block, 0.93-1.00 at 3.5, 0.98-1.07 at 4.0, 1.03-1.11 at 5, 1.10-1.23 at 6
+# and 1.36-2.34 at 9.5-13.3: the break-even lies between 3.5 and 4
+_GRID_PADDING = 3.5
 # ``_ball_candidates`` yields a batch from this many candidates, so one holds
 # fewer than ``_CHUNK_PAIRS`` where a query's ball could not hold more
 _TREE_PAIRS = _CHUNK_PAIRS // 2
@@ -694,6 +729,129 @@ def _naive_tree(
     return estimates, degenerate
 
 
+def _square_bound(h: float) -> float:
+    """The largest double ``s`` with ``sqrt(s) <= h``.
+
+    ``np.sqrt`` rounds correctly, so monotonically: ``sqrt(s) <= h`` holds
+    exactly when ``s <= _square_bound(h)``, and a squared distance decides
+    whether the distance itself is within h. It starts from ``h * h``,
+    which is within a few doubles of the bound (inf past about 1.3e154,
+    which one step takes to the largest double), and steps to it.
+    """
+    h = float(h)
+    s = h * h
+    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= h:
+        s = math.nextafter(s, math.inf)
+    while math.sqrt(s) > h:
+        s = math.nextafter(s, -math.inf)
+    return s
+
+
+def _takes_grid(partition: PartitionedDataset) -> bool:
+    """Whether the dense NWK loop takes the partition's ``position_grid``:
+    where there are more blocks than the largest one holds samples, and the
+    padding averages at most ``_GRID_PADDING`` columns a block."""
+    largest = int(np.diff(partition.offsets).max())
+    m, n = partition.m, partition.data.n
+    return m > largest and m * largest <= n + _GRID_PADDING * m
+
+
+def _exact_gaussian_sums(
+    sq: np.ndarray,
+    y: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray],
+    columns: tuple[np.ndarray, int],
+    sizes: np.ndarray,
+    h: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian weight and weighted-response sums of the (row, block) ``pairs``
+    of the squared distances ``sq``, by ``exact_gaussian_weights``.
+
+    ``columns`` is ``(base, step)``: block j's k-th sample is column
+    ``base[j] + k * step`` of ``sq`` and ``y``. Each pair's samples are
+    gathered in block order and summed by ``np.add.reduceat``, as a
+    block-major row of weights is, so the sums are bitwise those of the
+    weights of ``cdist``'s distances.
+    """
+    row, block = pairs
+    (base, step), n = columns, sizes[block]
+    first = np.cumsum(n) - n
+    cols = np.repeat(base[block] - first * step, n) + np.arange(n.sum()) * step
+    raw = exact_gaussian_weights(sq[np.repeat(row, n), cols], h)
+    return np.add.reduceat(raw, first), np.add.reduceat(raw * y[cols], first)
+
+
+def _nwk_dense(
+    partition: PartitionedDataset,
+    kind: KernelKind,
+    dense: Sequence[tuple[int, float]],
+    Q: np.ndarray,
+    estimates: np.ndarray,
+    active: np.ndarray,
+    degenerate: np.ndarray,
+) -> None:
+    """Write the dense NWK rows ``dense``, (p, h) pairs, into the (P, m, q) outputs.
+
+    Each chunk of about ``_CHUNK_PAIRS`` squared distances takes one
+    ``cdist(..., "sqeuclidean")`` into a buffer of the call, and each h its
+    weights into a second one: the naive kernel's ``s <= _square_bound(h)``,
+    which is exactly the test ``dist / h <= 1``, and ``gaussian_weights``. A
+    (query, block) pair counts as active when its nearest squared distance
+    is within the bound, so when its nearest distance is within h. Each
+    Gaussian pair takes the rule of ``kernels.gaussian_block_weights``: one
+    whose weights sum below ``GAUSSIAN_EXACT_BELOW`` is summed again by
+    ``_exact_gaussian_sums``, unless its nearest squared distance is past
+    ``gaussian_zero_beyond(h)``, where both formulas' weights and sums are
+    exactly 0.
+
+    The columns are the block-major samples, each block's summed by
+    ``np.add.reduceat``, or where ``_takes_grid`` the partition's
+    ``position_grid``, summed over its position axis in position order.
+    Either way each (row, block) is reduced alone, so no value depends on
+    the chunk size or on the other queries.
+    """
+    m, offsets = partition.m, partition.offsets
+    if _takes_grid(partition):
+        x, y = partition.position_grid
+        columns = (np.arange(m), m)
+
+        def block_sum(ufunc, a):
+            return ufunc.reduce(a.reshape(len(a), -1, m), axis=1)
+
+    else:
+        x, y = partition.data.x, partition.data.y
+        columns = (offsets[:-1], 1)
+
+        def block_sum(ufunc, a):
+            return ufunc.reduceat(a, offsets[:-1], axis=1)
+
+    gaussian, sizes = kind is KernelKind.GAUSSIAN, np.diff(offsets)
+    bounds = [(_square_bound(h), gaussian_zero_beyond(h)) for _, h in dense]
+    size = max(1, _CHUNK_PAIRS // len(x))
+    sq_buffer, weight_buffer = np.empty((2, min(size, len(Q)), len(x)))
+    for r in range(0, len(Q), size):
+        rows = slice(r, r + size)
+        n = min(size, len(Q) - r)
+        sq = cdist(Q[rows], x, "sqeuclidean", out=sq_buffer[:n])
+        if gaussian:
+            nearest = block_sum(np.minimum, sq)
+        for (p, h), (bound, zero_beyond) in zip(dense, bounds):
+            if gaussian:
+                w = gaussian_weights(sq, h, out=weight_buffer[:n])
+            else:
+                w = np.less_equal(sq, bound, out=weight_buffer[:n])
+            den = block_sum(np.add, w)
+            num = block_sum(np.add, np.multiply(w, y, out=w))
+            if gaussian:
+                low = np.nonzero((den < GAUSSIAN_EXACT_BELOW) & (nearest <= zero_beyond))
+                if low[0].size:
+                    den[low], num[low] = _exact_gaussian_sums(sq, y, low, columns, sizes, h)
+            ok = den > 0.0
+            np.divide(num.T, den.T, out=estimates[p, :, rows], where=ok.T)
+            degenerate[p, :, rows] = ~ok.T
+            active[p, :, rows] = (nearest <= bound).T if gaussian else ok.T
+
+
 def block_estimates(
     partition: PartitionedDataset,
     family: EstimatorFamily,
@@ -712,10 +870,11 @@ def block_estimates(
     queries once for the grid, and k-NN's undecided pairs go to
     ``_knn_dense``, as every k-NN pair does at d>1. At d>1 the naive h
     that ``_tree_params`` picks (small measured balls) take ``_naive_tree``,
-    whose ball queries serve all of them. The other NWK h take one
-    ``cdist`` matrix per chunk of query rows, against all the samples, for
-    the whole grid. Every block and row is reduced alone, so no result
-    depends on the chunk size or on the other queries in the batch.
+    whose ball queries serve all of them. The other NWK h take
+    ``_nwk_dense``: one squared ``cdist`` matrix per chunk of query rows,
+    against all the samples, for the whole grid. Every block and row is
+    reduced alone, so no result depends on the chunk size or on the other
+    queries in the batch.
     """
     shape = (len(params), partition.m, Q.shape[0])
     if family is EstimatorFamily.KNN:
@@ -733,8 +892,7 @@ def block_estimates(
         _knn_dense(partition, params, Q, estimates, todo)
         return estimates, active, degenerate
     estimates = np.zeros(shape)
-    x, y, offsets = partition.data.x, partition.data.y, partition.offsets
-    kind, starts = _FAMILY_KERNEL[family], offsets[:-1]
+    kind = _FAMILY_KERNEL[family]
     dense = list(enumerate(params))
     if kind is KernelKind.NAIVE:
         # small balls from the k-d tree, wide ones from the dense loop below
@@ -744,24 +902,8 @@ def block_estimates(
             estimates[small], degenerate[small] = _naive_tree(partition, hs, Q)
             active[small] = ~degenerate[small]
             dense = [(p, h) for p, h in dense if p not in small]
-    size = max(1, _CHUNK_PAIRS // len(x))
-    for r in range(0, Q.shape[0] if dense else 0, size):
-        # one block-major matrix per chunk; each block's columns reduce alone
-        rows = slice(r, r + size)
-        dist = cdist(Q[rows], x)
-        if kind is KernelKind.GAUSSIAN:
-            nearest = np.minimum.reduceat(dist, starts, axis=1).T
-        for p, h in dense:
-            with np.errstate(over="ignore"):  # a subnormal h
-                raw = kernel_profile(kind, dist / h)
-            den = np.add.reduceat(raw, starts, axis=1).T
-            raw *= y
-            ok = den > 0.0
-            num = np.add.reduceat(raw, starts, axis=1).T
-            np.divide(num, den, out=estimates[p, :, rows], where=ok)
-            degenerate[p, :, rows] = ~ok
-            # a naive weight is nonzero exactly when d <= h (module docstring)
-            active[p, :, rows] = ok if kind is KernelKind.NAIVE else nearest <= h
+    if dense:
+        _nwk_dense(partition, kind, dense, Q, estimates, active, degenerate)
     return estimates, active, degenerate
 
 

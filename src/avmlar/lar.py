@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .avm import _query_matrix
 from .core import Dataset
-from .kernels import KernelKind, kernel_profile
+from .kernels import KernelKind, gaussian_block_weights, kernel_profile
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,20 @@ class WeightVector:
 def nwk_weights(
     block: Dataset, kind: KernelKind, h: float, x: np.ndarray
 ) -> WeightVector:
-    """NWK weights of every block sample at the query point ``x``."""
+    """NWK weights of every block sample at the query point ``x``.
+
+    The raw weights are those of ``predict_batch``: from one squared
+    ``cdist`` row, ``kernel_profile`` of the distance over h for the naive
+    kernel and ``gaussian_block_weights`` for the Gaussian one.
+    """
     if not 0 < h < np.inf:
         raise ValueError(f"bandwidth h must be positive and finite, got {h}")
     q = _query_matrix(np.reshape(x, (1, -1)), block.d)
-    raw = kernel_profile(kind, cdist(q, block.x)[0] / h)
+    sq = cdist(q, block.x, "sqeuclidean")[0]
+    if kind is KernelKind.GAUSSIAN:
+        raw = gaussian_block_weights(sq, h)
+    else:
+        raw = kernel_profile(kind, np.sqrt(sq) / h)
     total = raw.sum()
     if total == 0.0:
         return WeightVector(np.zeros_like(raw), degenerate=True)

@@ -182,6 +182,24 @@ class PartitionedDataset:
         return np.sort(cdist(self.data.x[pick[:rows]], self.data.x[pick[rows:]]), axis=None)
 
     @functools.cached_property
+    def position_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` position-major over the blocks, built on first use.
+
+        Row ``k * m + j`` is block j's k-th sample, for k below the largest
+        block's size; a block's missing positions are padded with +inf
+        samples and y = 0, whose naive and Gaussian weights are exactly 0.
+        """
+        sizes = np.diff(self.offsets)
+        position = np.arange(sizes.max())[:, None]
+        real = (position < sizes).ravel()
+        rows = (self.offsets[:-1] + position).ravel()[real]
+        x = np.full((real.size, self.data.d), np.inf)
+        x[real] = self.data.x[rows]
+        y = np.zeros(real.size)
+        y[real] = self.data.y[rows]
+        return x, y
+
+    @functools.cached_property
     def blocks(self) -> tuple[Dataset, ...]:
         """Each block as a ``Dataset`` viewing ``data`` (no rows are copied)."""
         return tuple(

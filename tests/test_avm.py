@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -34,6 +35,7 @@ from avmlar import avm
 from avmlar import partition as partition_module
 from avmlar.avm import block_estimates, knn_mean
 from avmlar.core import distance_1d
+from avmlar.kernels import KernelKind, exact_gaussian_weights, gaussian_weights, kernel_profile
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1)
 NAIVE_D2 = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=2)
@@ -610,18 +612,22 @@ def test_sorted_paths_match_oracle_outside_the_normal_range(scale, spread):
     assert_knn_matches_oracle(ds, queries, ms=(1, 3))
 
 
-@pytest.mark.parametrize("layout", ["one-sample", "uneven"])
+@pytest.mark.parametrize("layout", ["one-sample", "uneven", "grid", "padded"])
 def test_dense_nwk_matches_oracle_per_block(layout):
     # every block's columns are reduced alone, whatever its size. Inputs and
     # lattice queries are multiples of 1/16, so samples lie exactly at
-    # distance h; a far query underflows every Gaussian weight
+    # distance h; a far query underflows every Gaussian weight. Many small
+    # uneven blocks (8 of 3 samples, 16 of 1) take the position grid; 20
+    # blocks of 1 and one of 20 would pad it past 2N and take reduceat
     rng = np.random.default_rng(23)
     ds = Dataset(rng.integers(0, 17, (40, 2)) / 16, rng.normal(size=40))
     if layout == "one-sample":
         part = random_partition(ds, ds.n, 3)
     else:
-        sizes = np.cumsum([1, 2, 13, 1, 20])
-        part = PartitionedDataset.from_indices(ds, np.split(rng.permutation(40), sizes))
+        sizes = {"uneven": [1, 2, 13, 1, 20], "grid": [3] * 8 + [1] * 15, "padded": [1] * 20}
+        split = np.cumsum(sizes[layout])
+        part = PartitionedDataset.from_indices(ds, np.split(rng.permutation(40), split))
+    assert avm._takes_grid(part) == (layout in ("one-sample", "grid"))
     lattice = rng.integers(-2, 19, (40, 2)) / 16
     queries = np.vstack([rng.random((20, 2)), lattice, [[40.0, 40.0]]])
     tol = 1e-12 * np.abs(ds.y).max()
@@ -639,41 +645,147 @@ def test_dense_nwk_matches_oracle_per_block(layout):
 def test_dense_sums_do_not_depend_on_the_chunk_size(monkeypatch):
     # at 16 distances per chunk every query row is its own chunk; each row and
     # block is reduced alone, so the estimates and flags are bitwise the same
+    # (m=200 blocks of 2 samples take the position grid, 5 blocks reduceat;
+    # k is at most the smallest block, so k=7 runs on the 5 blocks only)
     rng = np.random.default_rng(24)
-    part = random_partition(Dataset(rng.random((400, 2)), rng.normal(size=400)), 5, 0)
+    ds = Dataset(rng.random((400, 2)), rng.normal(size=400))
+    parts = [random_partition(ds, 5, 0), random_partition(ds, 200, 0)]
+    assert [avm._takes_grid(part) for part in parts] == [False, True]
     queries = rng.random((300, 2))
     cases = [
-        (EstimatorFamily.NWK_NAIVE, [0.05, 0.3]),
-        (EstimatorFamily.NWK_GAUSSIAN, [0.05, 0.3]),
-        (EstimatorFamily.KNN, [1, 7]),
+        (part, family, params)
+        for part, k in zip(parts, (7, 2))
+        for family, params in (
+            (EstimatorFamily.NWK_NAIVE, [0.05, 0.3]),
+            (EstimatorFamily.NWK_GAUSSIAN, [0.05, 0.3]),
+            (EstimatorFamily.KNN, [1, k]),
+        )
     ]
-    default = [block_estimates(part, family, params, queries) for family, params in cases]
+    default = [block_estimates(*case, queries) for case in cases]
     monkeypatch.setattr(avm, "_CHUNK_PAIRS", 16)
-    for (family, params), expected in zip(cases, default):
-        got = block_estimates(part, family, params, queries)
+    for case, expected in zip(cases, default):
+        got = block_estimates(*case, queries)
         for a, b in zip(got, expected):
-            assert a.tobytes() == b.tobytes(), family
+            assert a.tobytes() == b.tobytes(), case[1:]
+
+
+def dense_reference(part, kind, h, queries):
+    """Dense NWK (estimates, active, degenerate), shape (m, q), and the pairs
+    whose weights are all subnormal or 0, by the weights of ``cdist``'s
+    distances over h, each block's row summed by ``np.add.reduceat``."""
+    shape = (part.m, len(queries))
+    estimates, tiny = np.zeros(shape), np.zeros(shape, dtype=bool)
+    active, degenerate = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    for j, block in enumerate(part.blocks):
+        dist = cdist(queries, block.x)
+        with np.errstate(over="ignore"):
+            raw = kernel_profile(kind, dist / h)
+        den = np.add.reduceat(raw, [0], axis=1)[:, 0]
+        num = np.add.reduceat(raw * block.y, [0], axis=1)[:, 0]
+        np.divide(num, den, out=estimates[j], where=den > 0)
+        active[j], degenerate[j] = dist.min(axis=1) <= h, den == 0
+        tiny[j] = raw.max(axis=1) < 2.0**-1022
+    return estimates, active, degenerate, tiny
+
+
+def far_queries(x, count, h, rng):
+    """Queries 25-28 h outside the box of ``x`` along one axis, where the
+    Gaussian weights are normal, subnormal or 0."""
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    queries = lo + rng.random((count, x.shape[1])) * (hi - lo)
+    axis, up = rng.integers(0, x.shape[1], count), rng.random(count) < 0.5
+    gap = rng.uniform(25, 28, count) * h
+    queries[np.arange(count), axis] = np.where(up, hi[axis] + gap, lo[axis] - gap)
+    return queries
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gaussian_weights_match_the_distance_formula(d):
+    # the dense Gaussian weights come from squared distances; pairs whose
+    # weights are all subnormal or 0 are summed by the distance formula, so
+    # their estimates and every flag are bitwise the distance formula's, and
+    # the others within a few ulps of |u| = (dist / h)**2 per weight
+    rng = np.random.default_rng(40 + d)
+    n, h = 60, 0.2
+    ds = Dataset(rng.random((n, d)), rng.normal(size=n))
+    queries = np.vstack([far_queries(ds.x, 60, h, rng), rng.random((20, d))])
+    tol = 2e-13 * np.abs(ds.y).max()
+    for m in (1, 7, n // 2):
+        part = random_partition(ds, m, 1)
+        got = [a[0] for a in block_estimates(part, EstimatorFamily.NWK_GAUSSIAN, [h], queries)]
+        *expected, tiny = dense_reference(part, KernelKind.GAUSSIAN, h, queries)
+        assert tiny.any() and not tiny.all(), m
+        assert got[0][tiny].tobytes() == expected[0][tiny].tobytes(), m
+        np.testing.assert_allclose(got[0], expected[0], rtol=0, atol=tol)
+        for a, b in zip(got[1:], expected[1:]):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("scale, h", [(1e-160, 1e-160), (1e153, 1e160)])
+def test_gaussian_weights_outside_the_squared_range_are_exact(scale, h):
+    # 1 / h**2 overflows or underflows: the weights are the distance formula's,
+    # and blocks that take reduceat sum them as it does
+    rng = np.random.default_rng(44)
+    ds = Dataset(scale * rng.random((40, 3)), rng.normal(size=40))
+    queries = scale * rng.uniform(-0.5, 1.5, (30, 3))
+    sq = cdist(queries, ds.x, "sqeuclidean")
+    assert gaussian_weights(sq, h).tobytes() == exact_gaussian_weights(sq, h).tobytes()
+    for m in (1, 3):
+        part = random_partition(ds, m, 1)
+        got = block_estimates(part, EstimatorFamily.NWK_GAUSSIAN, [h], queries)
+        expected = dense_reference(part, KernelKind.GAUSSIAN, h, queries)[:3]
+        for a, b in zip(got, expected):
+            assert a[0].tobytes() == b.tobytes(), m
+
+
+def test_naive_dense_membership_matches_the_distance_formula(monkeypatch):
+    # squared distances against the largest square whose root is within h are
+    # the test dist / h <= 1 itself. Samples and queries on the 1/16 lattice
+    # lie exactly at distance h; responses 2**-i make every block's sum, and
+    # so its mean, exact in any order, so counts and members show bitwise
+    monkeypatch.setattr(avm, "_TREE_BALL_SHARE", 0.0)
+    rng = np.random.default_rng(45)
+    n = 48
+    ds = Dataset(rng.integers(0, 17, (n, 2)) / 16, 2.0 ** -rng.permutation(n))
+    queries = rng.integers(-2, 19, (60, 2)) / 16
+    for m in (1, 7, n // 2):
+        part = random_partition(ds, m, 2)
+        for h in (1 / 16, 2 / 16, 5 / 16, np.sqrt(5) / 16):
+            got = block_estimates(part, EstimatorFamily.NWK_NAIVE, [h], queries)
+            expected = dense_reference(part, KernelKind.NAIVE, h, queries)[:3]
+            for a, b in zip(got, expected):
+                assert a[0].tobytes() == b.tobytes(), (m, h)
+
+
+def test_square_bound_is_the_largest_square_within_h():
+    for h in (5e-324, 1e-160, 2.0**-500, 0.3, 1.0, 2.0**500, 1e154, 1.5e154, 1e300):
+        s = avm._square_bound(h)
+        assert math.sqrt(s) <= h < math.sqrt(math.nextafter(s, math.inf))
 
 
 @pytest.mark.parametrize(
-    "family, n, share",
+    "family, n, m, t, share",
     [
-        (EstimatorFamily.NWK_NAIVE, 200_000, None),
-        (EstimatorFamily.NWK_NAIVE, 200_000, 0.0),
-        (EstimatorFamily.NWK_GAUSSIAN, 50_000, None),
-        (EstimatorFamily.KNN, 50_000, None),
+        (EstimatorFamily.NWK_NAIVE, 200_000, 1, 1000, None),
+        (EstimatorFamily.NWK_NAIVE, 200_000, 1, 1000, 0.0),
+        (EstimatorFamily.NWK_GAUSSIAN, 50_000, 1, 1000, None),
+        (EstimatorFamily.NWK_GAUSSIAN, 50_000, 20_000, 50, None),
+        (EstimatorFamily.KNN, 50_000, 1, 1000, None),
     ],
-    ids=["naive", "naive-dense", "gaussian", "knn"],
+    ids=["naive", "naive-dense", "gaussian", "gaussian-grid", "knn"],
 )
-def test_dense_memory_is_bounded(monkeypatch, family, n, share):
+def test_dense_memory_is_bounded(monkeypatch, family, n, m, t, share):
     # one d=2 block: a query x sample matrix would take 1.5 GiB (naive) or
     # 400 MB; query chunks of about _CHUNK_PAIRS distances hold a few MiB.
-    # The rule h sends naive to the k-d tree; a share of 0 forces it dense
+    # The rule h sends naive to the k-d tree; a share of 0 forces it dense.
+    # 20,000 blocks take the position grid as well as their (m, q) outputs,
+    # 10 MB at 50 queries
     if share is not None:
         monkeypatch.setattr(avm, "_TREE_BALL_SHARE", share)
     ds = uniform_dataset(n, d=2, seed=25)
-    model = fit_avm(ds, EstimatorConfig(family, r=1.0, d=2), 1, 0)
-    queries = np.random.default_rng(25).random((1000, 2))
+    model = fit_avm(ds, EstimatorConfig(family, r=1.0, d=2), m, 0)
+    assert avm._takes_grid(model.partition) == (m > 1)
+    queries = np.random.default_rng(25).random((t, 2))
     tracemalloc.start()
     try:
         predict_batch(model, queries)

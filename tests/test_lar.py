@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import oracles
 from avmlar import (
@@ -13,6 +14,7 @@ from avmlar import (
     nwk_weights,
     predict_batch,
 )
+from avmlar.kernels import GAUSSIAN_EXACT_BELOW, exact_gaussian_weights, gaussian_weights
 
 NAIVE = EstimatorFamily.NWK_NAIVE
 GAUSSIAN = EstimatorFamily.NWK_GAUSSIAN
@@ -193,3 +195,23 @@ def test_matches_brute_force_oracle():
         assert batch.values[0] == pytest.approx(
             oracles.knn_estimate(xs, ys, k, q), abs=1e-12
         )
+
+
+def test_gaussian_weights_are_predict_batchs():
+    # the weights' weighted mean is the one-block estimate, also where the
+    # weights are subnormal and both take the distance formula: 26-27 h away
+    rng = np.random.default_rng(13)
+    blk = Dataset(rng.random((30, 2)), rng.normal(size=30))
+    model, exact = one_block(blk, GAUSSIAN, 0.1), 0
+    for q in ([0.4, 0.6], [0.5, 3.6], [-2.6, 0.5]):
+        wv = nwk_weights(blk, KernelKind.GAUSSIAN, 0.1, q)
+        sq = cdist([q], blk.x, "sqeuclidean")[0]
+        raw = gaussian_weights(sq, 0.1)
+        if raw.sum() < GAUSSIAN_EXACT_BELOW:
+            raw, exact = exact_gaussian_weights(sq, 0.1), exact + 1
+        assert not wv.degenerate
+        assert wv.weights.tobytes() == (raw / raw.sum()).tobytes()
+        np.testing.assert_allclose(
+            wv.weights @ blk.y, predict_batch(model, [q]).values[0], rtol=0, atol=1e-12
+        )
+    assert exact == 2

@@ -157,8 +157,8 @@ def test_gaussian_cv_measures_each_fold_distance_once(monkeypatch):
     # take several cdist calls, which together hold each test x train pair once
     sizes = []
 
-    def counting_cdist(*args):
-        dist = cdist(*args)
+    def counting_cdist(*args, **kwargs):
+        dist = cdist(*args, **kwargs)
         sizes.append(dist.size)
         return dist
 
