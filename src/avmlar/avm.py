@@ -15,8 +15,8 @@ block is always active and all three variants coincide with A1.
 Every prediction path and CV score runs through the core below:
 ``_sorted_1d`` (NWK-naive and k-NN at d=1), ``_naive_tree`` (NWK-naive
 at d>1 on small balls), ``knn_mean`` (the one k-NN selector and tie rule,
-over a grid of k, called by ``_knn_dense`` alone), ``block_estimates``
-(which also holds the dense NWK path), ``combine``, and ``_rule_h_or_k``
+over a grid of k, called by ``_knn_dense`` alone), ``_nwk_dense`` (the
+other NWK cases), ``block_estimates``, ``combine``, and ``_rule_h_or_k``
 for h and k.
 
 ``block_estimates`` takes a grid of h or k and returns (P, m, q) arrays,
@@ -66,8 +66,8 @@ block of n samples has at most 2n + 1 distinct runs. ``_runs`` lists them:
 where blocks are small, from placing each sample once among the sorted
 queries, O(N + m) of them; where they are large, from a search per block.
 ``_run_means`` sums each run once with ``np.add.reduceat`` (a k-NN run of
-one sample is its y), and each block group repeats the means by run length
-into sorted query order and takes them into query order.
+one sample is its y), and each block group repeats the means and the run
+flags by run length into sorted query order and takes them into query order.
 
 * Naive NWK: the run is the window ``distance_1d(q, x) <= h``, its edges
   the first samples inside it, found by bisecting the sorted samples with
@@ -81,11 +81,12 @@ into sorted query order and takes them into query order.
   lo + k. The key can overflow and ``distance_1d`` rounds, so it only
   steers: a pair is decided when both samples just outside the run are
   farther, by ``distance_1d``, than the larger run end (distances fall then
-  rise along the block, so the run is the unique k nearest). Each run is
-  decided once where it can be: ``_knn_certified`` proves the test for all
-  its pairs from one exact margin at each of its end queries, and only the
-  pairs of the other runs take the per-pair test. Every undecided pair
-  goes to ``_knn_dense``, so ties are still ordered in one place.
+  rise along the block, so the run is the unique k nearest; ``_run_sides``
+  reads them). Each run is decided once where it can be: ``_knn_certified``
+  proves the test for all its pairs from one exact margin at each of its
+  end queries, and only the pairs of the flagged runs take the per-pair
+  test. Every undecided pair goes to ``_knn_dense``, so ties are still
+  ordered in one place.
 """
 
 from __future__ import annotations
@@ -389,13 +390,13 @@ def _sorted_1d(
     """Run means and flags at 1-d queries ``q``, shape (len(params), m, len(q)).
 
     Flags mark the degenerate pairs (naive) or the undecided ones (k-NN).
-    Each h or k lists the partition's runs (``_runs``) and sums each once;
-    then each block group of about ``_GROUP_PAIRS`` (block, query) pairs
-    repeats the run means by run length into sorted query order and takes
-    them into query order. k-NN decides the runs that ``_knn_certified``
-    certifies as a whole: a group of only such runs writes False flags, and
-    otherwise only the pairs of its other runs, gathered by repeating the
-    run mask, take the per-pair test.
+    Each h or k lists the partition's runs (``_runs``), sums each once and
+    flags the runs that are empty (naive) or that ``_knn_certified`` does
+    not certify (k-NN). Then each block group of about ``_GROUP_PAIRS``
+    (block, query) pairs repeats the run means and flags by run length into
+    sorted query order and takes them into query order; a group with no
+    flagged run writes False flags. k-NN then re-tests each flagged pair
+    alone, with the samples of ``_run_sides``.
     """
     m, t, naive = partition.m, len(q), family is EstimatorFamily.NWK_NAIVE
     estimates = np.empty((len(params), m, t))
@@ -409,6 +410,8 @@ def _sorted_1d(
     offsets, ranks = partition.offsets, partition.x_rank
     xs = partition.data.x[partition.x_sort, 0]
     x, y = xs[ranks], partition.data.y[partition.x_order]
+    edge = np.zeros(len(x) + 1, dtype=bool)  # where a block starts or the samples end
+    edge[offsets] = True
     step = max(1, _GROUP_PAIRS // t)
     groups = np.arange(0, m, step)
     for p, h_or_k in enumerate(params):
@@ -418,7 +421,7 @@ def _sorted_1d(
             starts, (lo, hi) = _runs(
                 offsets, t, [(x, lower, "left"), (x, upper, "right")], (xs, ranks)
             )
-            means, empty = _run_means(y, lo, hi), hi == lo
+            means, flagged = _run_means(y, lo, hi), hi == lo
         else:
             # key[i] = x[i] + x[i + k], one double down where it rounded up
             # (TwoSum's error is negative), so ``key < 2q`` is exact; inf where
@@ -434,7 +437,7 @@ def _sorted_1d(
             starts, (lo,) = _runs(offsets, t, [(key, twice, "left")])
             # a run of one sample is its y: its sum, over a count of 1
             means = y[lo] if k == 1 else _run_means(y, lo, lo + k)
-            settled = _knn_certified(x, qs, offsets, starts, lo, k)
+            flagged = ~_knn_certified(x, qs, edge, starts, lo, k)
         bounds = np.searchsorted(starts, np.append(groups, m) * t)
         for j, r0, r1 in zip(groups, bounds, bounds[1:]):
             # the group's runs, repeated by length into (block, sorted query) pairs
@@ -442,33 +445,23 @@ def _sorted_1d(
             size = np.diff(starts[runs], append=(j + g) * t)
             sorted_means = np.repeat(means[runs], size).reshape(g, t)
             np.take(sorted_means, inv, axis=1, out=estimates[p, j : j + g], mode="clip")
-            if naive:
-                flag = np.repeat(empty[runs], size).reshape(g, t)
-            else:
-                if settled[runs].all():
-                    flags[p, j : j + g] = False
-                    continue
-                open_runs = ~settled[runs]
-                # the pairs of the group's uncertified runs, each tested alone:
-                # decided when the sample just outside each side is past the
-                # block end or farther than both run ends (one sample when k is 1)
-                pair = np.flatnonzero(np.repeat(open_runs, size))
-                block, at = np.divmod(pair, t)
-                block += j
-                qp = qs[at]
+            open_runs = flagged[runs]
+            if not open_runs.any():
+                flags[p, j : j + g] = False
+                continue
+            flag = np.repeat(open_runs, size)
+            if not naive:
+                # each pair of an uncertified run alone: decided where each side's
+                # outside sample is past a block end or farther than both run ends
+                pair = np.flatnonzero(flag)
+                qp = qs[pair % t]
                 run_lo = np.repeat(lo[runs][open_runs], size[open_runs])
-                run_hi = run_lo + k
-                end = distance_1d(qp, x[run_lo])
-                if k > 1:
-                    np.maximum(end, distance_1d(qp, x[run_hi - 1]), out=end)
-                decided = distance_1d(qp, x.take(run_lo - 1, mode="clip")) > end
-                decided |= run_lo == offsets[block]
-                right = distance_1d(qp, x.take(run_hi, mode="clip")) > end
-                right |= run_hi == offsets[block + 1]
-                decided &= right
-                flag = np.zeros((g, t), dtype=bool)
-                flag.ravel()[pair] = ~decided
-            np.take(flag, inv, axis=1, out=flags[p, j : j + g], mode="clip")
+                a, u, v, b, no_left, no_right = _run_sides(x, edge, run_lo, k)
+                end = np.maximum(distance_1d(qp, u), distance_1d(qp, v))
+                decided = (distance_1d(qp, a) > end) | no_left
+                decided &= (distance_1d(qp, b) > end) | no_right
+                flag[pair] = ~decided
+            np.take(flag.reshape(g, t), inv, axis=1, out=flags[p, j : j + g], mode="clip")
     return estimates, flags
 
 
@@ -481,18 +474,28 @@ _MARGIN_FLOOR = 2.0**-500
 _WIDTH_CEILING = 2.0**500
 
 
+def _run_sides(x: np.ndarray, edge: np.ndarray, lo: np.ndarray, k: int) -> tuple:
+    """``(a, u, v, b, no_left, no_right)`` of the k-NN runs at ``lo`` of the
+    block-sorted ``x``: a run holds ``u = x[lo] <= v = x[lo + k - 1]``, just
+    outside it are ``a = x[lo - 1]`` and ``b = x[lo + k]``, and where a block
+    end (``edge``) bounds a side, it has no sample there and a is u, or b is v."""
+    after = lo + k
+    no_left, no_right = edge[lo], edge[after]
+    return x[lo - 1 + no_left], x[lo], x[after - 1], x[after - no_right], no_left, no_right
+
+
 def _knn_certified(
-    x: np.ndarray, qs: np.ndarray, offsets: np.ndarray, starts: np.ndarray, lo: np.ndarray, k: int
+    x: np.ndarray, qs: np.ndarray, edge: np.ndarray, starts: np.ndarray, lo: np.ndarray, k: int
 ) -> np.ndarray:
     """Runs of k-NN ``_sorted_1d`` whose every pair its per-pair test decides.
 
     ``starts`` and ``lo`` are the runs of ``_runs`` (their first pairs,
     block * t + query, and lo) over the block-sorted samples ``x`` and the
-    sorted queries ``qs``. A run holds the block samples
-    ``u = x[lo] <= v = x[lo + k - 1]`` for the sorted queries
-    ``q0 <= q <= q1``; ``a = x[lo - 1]`` and ``b = x[lo + k]`` are the
-    samples just outside it, where its block has them. Exactly, the margins
-    of the per-pair test are, for q > a and q < b,
+    sorted queries ``qs``; ``edge`` marks the block ends. A run holds the
+    block samples ``u <= v`` of ``_run_sides`` for the sorted queries
+    ``q0 <= q <= q1``, and ``a`` and ``b`` are the samples just outside it,
+    where its block has them. Exactly, the margins of the per-pair test
+    are, for q > a and q < b,
 
     * ``M_L(q) = |q - a| - max(|q - u|, |q - v|) = min(u - a, 2q - a - v)``,
       nondecreasing in q; and ``M_L(q0) > 0`` gives ``q0 > a``, as at
@@ -525,12 +528,7 @@ def _knn_certified(
     t = len(qs)
     first = starts - starts // t * t if starts[-1] >= t else starts
     q0, q1 = qs[first], qs[np.append(first[1:], 0) - 1]
-    # a side has no sample where the run meets its block's end: a and b are then u and v
-    edge = np.zeros(len(x) + 1, dtype=bool)
-    edge[offsets] = True
-    after = lo + k
-    no_left, no_right = edge[lo], edge[after]
-    a, u, v, b = x[lo - 1 + no_left], x[lo], x[after - 1], x[after - no_right]
+    a, u, v, b, no_left, no_right = _run_sides(x, edge, lo, k)
     with np.errstate(over="ignore", invalid="ignore"):
         width = np.maximum(q1 - a, b - q0)
         bound = np.maximum(width * _MARGIN_SHARE, _MARGIN_FLOOR)

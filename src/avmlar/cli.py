@@ -31,18 +31,17 @@ _KERNEL_FAMILY = {
 def _parse_m_grid(text: str) -> tuple[int, ...]:
     """Parse ``lo:hi:step`` (inclusive) or a comma-separated list."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("m-grid range must be lo:hi:step")
-        lo, hi, step = (int(p) for p in parts)
-        if step < 1 or hi < lo:
-            raise argparse.ArgumentTypeError(f"bad m-grid range {text!r}")
-        return tuple(range(lo, hi + 1, step))
+    is_range = ":" in text
     try:
-        return tuple(int(v) for v in text.split(","))
+        values = tuple(int(v) for v in text.split(":" if is_range else ","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad m-grid {text!r}") from exc
+    if not is_range:
+        return values
+    if len(values) != 3 or values[2] < 1 or values[1] < values[0]:
+        raise argparse.ArgumentTypeError(f"bad m-grid range {text!r}, want lo:hi:step")
+    lo, hi, step = values
+    return tuple(range(lo, hi + 1, step))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -46,7 +46,7 @@ _GAUSSIAN_ZERO_ARGUMENT = 750.0
 def kernel_profile(kind: KernelKind, norms: np.ndarray) -> np.ndarray:
     """Evaluate the kernel on precomputed Euclidean norms.
 
-    Vectorized workhorse shared by the weight and prediction code. The
+    ``lar``'s naive weights and ``exact_gaussian_weights`` call it. The
     naive kernel uses the closed unit ball (norm == 1 counts as inside).
     """
     s = np.asarray(norms, dtype=np.float64)

@@ -853,6 +853,32 @@ def test_tree_share_limit_halves_past_d5(d, limit):
     assert avm._tree_params(part, [above, below, above]) == [1]
 
 
+def test_tree_falls_back_to_dense_where_the_samples_span_too_wide(tree_spy):
+    # h is small, so the measured share picks the tree; but one sample near
+    # 1e151 makes the samples' box span past _TREE_MAX_SPAN, where cKDTree's
+    # squared distances could overflow, so the built tree answers no ball
+    # and the dense loop matches the oracle with no RuntimeWarning
+    rng = np.random.default_rng(46)
+    x = rng.random((200, 2))
+    x[0] = [1e151, 0.5]
+    ds = Dataset(x, rng.normal(size=len(x)))
+    queries = np.vstack([rng.random((30, 2)), x[:1]])
+    h = 0.05
+    tol = 1e-12 * np.abs(ds.y).max()
+    for m in (1, 4):
+        part = random_partition(ds, m, 0)
+        assert avm._ball_share(part, h) < avm._TREE_BALL_SHARE
+        assert avm._tree_params(part, [h]) == []
+        blocks = oracle_blocks(AvmModel(part, NAIVE_D2, Variant.A1_PLAIN, h))
+        for variant, fn in (
+            (Variant.A1_PLAIN, oracles.avm_a1_nwk),
+            (Variant.A3_QUALIFIED, oracles.avm_a3_nwk),
+        ):
+            batch = predict_batch(AvmModel(part, NAIVE_D2, variant, h), queries)
+            assert_matches_oracle(batch, blocks, "naive", h, queries, fn, tol)
+    assert tree_spy == {"builds": 2, "balls": 0}
+
+
 def test_naive_d5_takes_the_tree_and_matches_oracle(tree_spy):
     # serve-like density: at the rule h (c=1) a ball holds about 1 % of the
     # samples, and the default rule sends every query to the k-d tree
@@ -1155,9 +1181,10 @@ def certificate_spy(monkeypatch):
     """Record (runs, certified runs, pairs in uncertified runs) per ``_knn_certified`` call."""
     calls, certify = [], avm._knn_certified
 
-    def spy(x, qs, offsets, starts, lo, k):
-        ok = certify(x, qs, offsets, starts, lo, k)
-        size = np.diff(starts, append=(len(offsets) - 1) * len(qs))
+    def spy(x, qs, edge, starts, lo, k):
+        ok = certify(x, qs, edge, starts, lo, k)
+        # edge marks each block's start and the samples' end: m + 1 entries
+        size = np.diff(starts, append=(edge.sum() - 1) * len(qs))
         calls.append((ok.size, ok.sum(), size[~ok].sum()))
         return ok
 
@@ -1188,7 +1215,7 @@ def test_sorted_knn_memory_is_bounded_with_many_uncertified_runs(monkeypatch):
     assert uncertified_pairs > 0.2 * part.m * len(queries)
 
 
-def certify_none(x, qs, offsets, starts, lo, k):
+def certify_none(x, qs, edge, starts, lo, k):
     return np.zeros(starts.size, dtype=bool)
 
 

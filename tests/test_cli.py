@@ -3,7 +3,17 @@ import csv
 import numpy as np
 import pytest
 
-from avmlar import read_csv
+from avmlar import (
+    CvConfig,
+    EstimatorConfig,
+    EstimatorFamily,
+    TargetKind,
+    TargetModel,
+    cv_select_constant,
+    default_constant_grid,
+    generate_dataset,
+    read_csv,
+)
 from avmlar.cli import main
 
 
@@ -230,3 +240,47 @@ def test_bad_arguments_exit_nonzero(tmp_path):
         "--query", tmp_path / "missing.csv", "--out", tmp_path / "o.csv",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("grid", ["1:4", "1:a:1", "5:1:1", "1:5:0", "1,a", ""])
+def test_experiment_rejects_malformed_m_grid(tmp_path, capsys, grid):
+    # a malformed grid is a usage error: argparse exits with status 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "experiment", "--scenario", "sim1-nwk", "--n", 50, "--m-grid", grid,
+            "--out", tmp_path / "r.csv",
+        )
+    assert exc.value.code == 2
+    assert "error: argument --m-grid: bad m-grid" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_experiment_cv_records_the_tuned_constant(tmp_path):
+    # --cv tunes the constant on the first trial's training data, as
+    # `avmlar tune` does with its default grid and --seed
+    out = tmp_path / "res.csv"
+    code = run_cli(
+        "experiment", "--scenario", "sim1-knn", "--n", 200, "--t", 30,
+        "--trials", 2, "--seed", 4, "--m-grid", "1,4", "--cv", "--out", out,
+    )
+    assert code == 0
+    notes = [l for l in out.read_text().splitlines() if l.startswith("# tuned_constant: ")]
+    assert len(notes) == 1
+    tuned = float(notes[0].split(": ")[1])
+    train = generate_dataset(TargetModel(TargetKind.G1), 200, 4)
+    config = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
+    assert tuned == cv_select_constant(train, config, CvConfig(default_constant_grid(), seed=4))
+
+
+def test_tune_reads_a_training_csv(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    run_cli("gen", "--target", "g3", "--n", 150, "--seed", 6, "--out", train)
+    code = run_cli(
+        "tune", "--train", train, "--kernel", "knn", "--folds", 3,
+        "--grid-lo", 0.2, "--grid-hi", 2.0, "--grid-n", 4, "--seed", 1,
+    )
+    assert code == 0
+    cv = CvConfig(default_constant_grid(0.2, 2.0, 4), folds=3, seed=1)
+    config = EstimatorConfig(EstimatorFamily.KNN, r=1.0, d=1)
+    expected = cv_select_constant(read_csv(train), config, cv)
+    assert capsys.readouterr().out.splitlines()[-1] == f"selected constant: {expected!r}"

@@ -137,15 +137,25 @@ def test_road_loader_field_mapping(tmp_path):
 
 
 def test_road_loader_skips_malformed(tmp_path):
+    # blank lines are no rows; a row with a wrong field count, a non-numeric
+    # field or a non-finite value is skipped and counted
     path = tmp_path / "road.txt"
     path.write_text(
         "1,9.34,56.74,17.05\n"
         "garbage line without commas\n"
+        "\n"
+        "   \n"
+        "3,9.35,north,18.11\n"
+        "4,9.36,56.76,\n"
+        "5,inf,56.77,19.0\n"
+        "6,9.38,nan,19.5\n"
+        "7,9.39,56.79,-inf\n"
         "2,9.35,56.75,18.11\n"
     )
     road = load_road_network(path)
-    assert road.dataset.n == 2
-    assert road.skipped_rows == 1
+    assert road.dataset.x.tolist() == [[9.34, 56.74], [9.35, 56.75]]
+    assert road.dataset.y.tolist() == [17.05, 18.11]
+    assert road.skipped_rows == 6
 
 
 def test_road_loader_errors(tmp_path):

@@ -21,7 +21,8 @@ from avmlar import (
     write_result_csv,
     write_summary_csv,
 )
-from avmlar.experiments import format_summary_text
+from avmlar.experiments import _mesh_candidates, format_summary_text
+from avmlar.partition import default_candidates
 
 NWK = EstimatorConfig(EstimatorFamily.NWK_NAIVE, r=1.0, d=1, constant_c=0.5)
 ALL = (Variant.A1_PLAIN, Variant.A2_DATA_DEPENDENT, Variant.A3_QUALIFIED)
@@ -123,7 +124,7 @@ def test_run_experiment_row_structure():
     )
 
 
-def test_knn_inadmissible_m_marked_skipped():
+def test_knn_inadmissible_m_marked_skipped(tmp_path):
     config = ExperimentConfig.for_scenario(
         Scenario.SIM1_KNN, n=100, t=30, trials=1, m_grid=(2, 50), base_seed=1
     )
@@ -138,6 +139,20 @@ def test_knn_inadmissible_m_marked_skipped():
     srows = {r["m"]: r for r in summary.rows}
     assert srows[50]["skipped"] == 1
     assert srows[50]["ae_a1_mean"] is None
+    # m=50 skips in every trial: its error cells are empty in the summary
+    # CSV and "-" in the text table
+    p = tmp_path / "summary.csv"
+    write_summary_csv(result, p)
+    data = [l.split(",") for l in p.read_text().splitlines() if not l.startswith("#")]
+    columns, rows = data[0], {row[0]: row for row in data[1:]}
+    assert columns == list(summary.columns) and columns[-1] == "skipped"
+    assert rows["2"][-1] == "0" and all(rows["2"][1:-1])
+    assert rows["50"][-1] == "1" and not any(rows["50"][1:-1])
+    text = format_summary_text(result).splitlines()
+    assert text[0].split() == columns
+    cells = {line.split()[0]: line.split() for line in text[1:]}
+    assert cells["50"][1:-1] == ["-"] * (len(columns) - 2) and cells["50"][-1] == "1"
+    assert "-" not in cells["2"]
 
 
 def test_summary_single_trial_sd_zero():
@@ -223,6 +238,24 @@ def test_summary_csv_and_text(tmp_path):
     assert len(data_lines) == 3
     text = format_summary_text(result)
     assert "ae_a1_mean" in text.splitlines()[0]
+
+
+def test_mesh_candidate_cap_draws_a_seeded_subset():
+    train, _ = small_data(n=300, kind=TargetKind.G2)
+    full = {tuple(row) for row in default_candidates(train)}
+    config = ExperimentConfig.for_scenario(
+        Scenario.SIM1_NWK, n=300, mesh_candidate_cap=40, base_seed=3
+    )
+    assert len(full) > 40
+    cand = _mesh_candidates(config, train)
+    assert cand.shape == (40, 5)
+    assert len({tuple(row) for row in cand} & full) == 40
+    assert np.array_equal(cand, _mesh_candidates(config, train))
+    other = dataclasses.replace(config, base_seed=4)
+    assert not np.array_equal(cand, _mesh_candidates(other, train))
+    # a cap at or above the set's size keeps the whole set
+    whole = dataclasses.replace(config, mesh_candidate_cap=len(full))
+    assert np.array_equal(_mesh_candidates(whole, train), default_candidates(train))
 
 
 def test_road_scenario_pipeline(tmp_path):

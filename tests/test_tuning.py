@@ -241,3 +241,7 @@ def test_default_grid_shape():
     assert grid[0] == pytest.approx(0.05)
     assert grid[-1] == pytest.approx(5.0)
     assert all(b > a for a, b in zip(grid, grid[1:]))
+    assert default_constant_grid(0.3, 2.0, 1) == (0.3,)
+    for lo, hi, n in [(0.0, 1.0, 5), (-1.0, 1.0, 5), (2.0, 2.0, 5), (3.0, 2.0, 5), (0.1, 1.0, 0)]:
+        with pytest.raises(ValueError):
+            default_constant_grid(lo, hi, n)
